@@ -11,12 +11,14 @@ Layout (all little-endian):
     time f64, iteration u64
     fields: psi1 then psi2 as (re, im) f64 pairs in row-major node order.
 
-Round trips are bit exact; loads fail on magic/version mismatch or a
-truncated payload without returning partial state.
+Round trips are bit exact.  Loads fail only with CheckpointError, without
+returning partial state: on magic/version mismatch, a truncated payload, an
+invalid axis or parameter set, or non-finite numbers.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,8 +65,7 @@ def save_checkpoint(path, spinor: Spinor, params: Params,
         _POTENTIAL_CODE[params.potential], _FRAME_CODE[params.frame],
     ))
     parts.append(struct.pack("<dQ", time, iteration))
-    parts.append(np.ascontiguousarray(spinor.psi1, dtype="<c16").tobytes())
-    parts.append(np.ascontiguousarray(spinor.psi2, dtype="<c16").tobytes())
+    parts.append(np.ascontiguousarray(spinor.psi, dtype="<c16").tobytes())
     Path(path).write_bytes(b"".join(parts))
 
 
@@ -96,25 +97,36 @@ def load_checkpoint(path) -> Checkpoint:
         lo, hi, n, code = take("<ddIB")
         if code not in _BASIS_NAME:
             raise CheckpointError(f"invalid basis code {code}")
-        axes.append(Axis(lo, hi, n, _BASIS_NAME[code]))
+        try:
+            axes.append(Axis(lo, hi, n, _BASIS_NAME[code]))
+        except ValueError as exc:
+            raise CheckpointError(f"invalid checkpoint axis: {exc}") from None
     grid = Grid(axes)
     vals = take("<9dBB")
     if vals[9] not in _POTENTIAL_NAME or vals[10] not in _FRAME_NAME:
         raise CheckpointError("invalid potential/frame code")
-    params = Params(
-        k0=vals[0], omega=vals[1], delta=vals[2],
-        beta11=vals[3], beta12=vals[4], beta22=vals[5],
-        gamma_x=vals[6], gamma_y=vals[7], gamma_z=vals[8],
-        potential=_POTENTIAL_NAME[vals[9]], frame=_FRAME_NAME[vals[10]],
-    )
+    if not np.all(np.isfinite(vals[:9])):
+        raise CheckpointError("non-finite checkpoint parameters")
+    try:
+        params = Params(
+            k0=vals[0], omega=vals[1], delta=vals[2],
+            beta11=vals[3], beta12=vals[4], beta22=vals[5],
+            gamma_x=vals[6], gamma_y=vals[7], gamma_z=vals[8],
+            potential=_POTENTIAL_NAME[vals[9]], frame=_FRAME_NAME[vals[10]],
+        )
+    except ValueError as exc:
+        raise CheckpointError(f"invalid checkpoint parameters: {exc}") from None
     time, iteration = take("<dQ")
-    count = int(np.prod(grid.shape))
+    if not np.isfinite(time):
+        raise CheckpointError("non-finite checkpoint time")
+    count = math.prod(grid.shape)  # exact: corrupt sizes must not wrap
     expected = 2 * count * 16
     if len(raw) - off != expected:
         raise CheckpointError(
             f"checkpoint payload is {len(raw) - off} bytes, expected {expected}"
         )
     data = np.frombuffer(raw, dtype="<c16", count=2 * count, offset=off)
-    psi1 = data[:count].reshape(grid.shape).astype(np.complex128)
-    psi2 = data[count:].reshape(grid.shape).astype(np.complex128)
-    return Checkpoint(Spinor(grid, psi1, psi2), params, time, int(iteration))
+    if not np.all(np.isfinite(data)):
+        raise CheckpointError(f"checkpoint {path} holds non-finite field values")
+    psi = data.reshape((2,) + grid.shape).astype(np.complex128)
+    return Checkpoint(Spinor.from_stacked(grid, psi), params, time, int(iteration))

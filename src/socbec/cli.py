@@ -3,7 +3,11 @@
     socbec run <config-file> [--out DIR] [--threads N]
     socbec validate <config-file>
 
-Exit codes: 0 success, 1 usage/parse error, 2 solver failure.  --threads
+`validate` parses the config and runs the same dry run (`runner.preflight`)
+that `run` starts with, so it rejects what `run` would reject before solving.
+
+Exit codes: 0 success, 1 usage/parse/validation error, 2 run failure (any
+error once `run` has started; FAILED marker and manifest written).  --threads
 falls back to the SOCBEC_THREADS environment variable, then 1.
 """
 
@@ -14,7 +18,7 @@ import os
 import sys
 
 from .config import ConfigError, load_config
-from .runner import EXIT_OK, EXIT_USAGE, run
+from .runner import EXIT_OK, EXIT_USAGE, RunFailure, preflight, run
 
 
 def _default_threads() -> int:
@@ -62,6 +66,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.command == "validate":
+        try:
+            warnings = preflight(config)
+        except (ValueError, RunFailure) as exc:
+            print(f"error: {args.config}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        for w in warnings:
+            print(f"warning: {args.config}: {w}", file=sys.stderr)
         print(f"{args.config}: ok ({config.mode} mode, {config.grid!r})")
         return EXIT_OK
     threads = args.threads if args.threads is not None else _default_threads()

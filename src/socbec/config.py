@@ -32,19 +32,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .grid import FOURIER, SINE, Axis, Grid
-from .ground_state import GfdnOptions
+from .ground_state import SWEPT_PARAMETER, GfdnOptions
 from .model import BOX, FREE, HARMONIC, LAB, TILDE, Params
 
 MODES = ("ground_state", "dynamics", "limit_study", "com_compare")
-SWEEP_KINDS = ("large_k0", "large_omega", "large_delta", "rate_small_k0",
-               "rate_large_k0", "energy_competition")
+SWEEP_KINDS = tuple(SWEPT_PARAMETER)
 INITIAL_KINDS = ("gaussian", "ground_state", "shifted_ground_state", "checkpoint")
-
-_SWEEP_PARAM = {
-    "large_k0": "k0", "large_omega": "omega", "large_delta": "delta",
-    "rate_small_k0": "k0", "rate_large_k0": "k0",
-    "energy_competition": "omega",
-}
 
 
 class ConfigError(ValueError):
@@ -344,7 +337,7 @@ def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
         sweep = SweepSpec(
             kind=kind,
             values=_to_floats(vals, "values", line_of("sweep", "values")),
-            parameter=_SWEEP_PARAM[kind],
+            parameter=SWEPT_PARAMETER[kind],
         )
     if mode == "limit_study" and sweep is None:
         raise ConfigError("limit_study mode needs a [sweep] section")

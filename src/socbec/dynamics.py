@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import Grid
-from .model import LAB, TILDE, Params, Spinor, observables, potential_field
+from .model import LAB, TILDE, Params, Spinor, abs2, discretization, observables
 
 
 @dataclass
@@ -47,6 +47,12 @@ class EvolveOptions:
             raise ValueError("t_end must be >= 0")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
+        if abs(self.steps * self.tau - self.t_end) > 1e-9 * max(1.0, self.t_end):
+            raise ValueError("t_end must be an integer multiple of tau")
+
+    @property
+    def steps(self) -> int:
+        return int(round(self.t_end / self.tau))
 
 
 class ModePropagator:
@@ -56,32 +62,34 @@ class ModePropagator:
     Q^T e^{-i(tau/4) U} Q advancing the mode ODE by tau/2; chi, lam, the
     orthogonal factor Q and the diagonal phases are retained for inspection.
     For omega = 0 the table degenerates to decoupled diagonal phases and Q is
-    not constructed (its printed entries divide by lambda -+ chi).
+    not constructed (its printed entries divide by lambda -+ chi).  m11 and
+    m22 are the rows of the stacked `diag` table that `apply` uses.
     """
 
     def __init__(self, grid: Grid, params: Params, tau: float):
-        if not grid.is_fourier:
-            raise ValueError("mode propagators require a Fourier grid")
         if params.frame != LAB:
             raise ValueError("mode propagators implement the lab-frame block")
+        disc = discretization(grid, params)
+        disc.check_dynamics()
         if tau == 0.0:
             raise ValueError("tau must be nonzero")
         self.grid = grid
         self.tau = float(tau)
         self.key = (params.k0, params.omega, params.delta)
-        mu2 = grid.mu2
-        mux = grid.mu(0) * np.ones(grid.shape)
-        chi = params.k0 * mux - 0.5 * params.delta
+        mu2 = disc.mu2
+        chi = params.k0 * disc.mu_x - 0.5 * params.delta
         self.chi = chi
         omega = params.omega
+        self.diag = np.empty((2,) + grid.shape, dtype=np.complex128)
+        self.m11, self.m22 = self.diag
         if omega != 0.0:
             lam = 0.5 * np.sqrt(4.0 * chi**2 + omega**2)
             self.lam = lam
             ep = np.exp(-0.25j * tau * (mu2 + 2.0 * lam))
             em = np.exp(-0.25j * tau * (mu2 - 2.0 * lam))
             self.phases = (ep, em)
-            self.m11 = ((lam - chi) * ep + (lam + chi) * em) / (2.0 * lam)
-            self.m22 = ((lam + chi) * ep + (lam - chi) * em) / (2.0 * lam)
+            self.m11[...] = ((lam - chi) * ep + (lam + chi) * em) / (2.0 * lam)
+            self.m22[...] = ((lam + chi) * ep + (lam - chi) * em) / (2.0 * lam)
             self.m12 = omega * (ep - em) / (4.0 * lam)
             # rows of Q are the +-lambda eigenvectors; the off-diagonal
             # entries are rewritten via omega/2 = sgn(omega) sqrt(lam^2-chi^2)
@@ -98,17 +106,23 @@ class ModePropagator:
             ep = np.exp(-0.25j * tau * (mu2 - 2.0 * chi))
             em = np.exp(-0.25j * tau * (mu2 + 2.0 * chi))
             self.phases = (ep, em)
-            self.m11 = ep
-            self.m22 = em
+            self.m11[...] = ep
+            self.m22[...] = em
             self.m12 = None
             self.q = None
 
-    def apply(self, c1: np.ndarray, c2: np.ndarray):
-        """Advance spectral coefficients by tau/2 of the linear block."""
+    def apply(self, c: np.ndarray) -> np.ndarray:
+        """Advance stacked spectral coefficients by tau/2 of the linear block.
+
+        The table is scale free: `c` comes from `Grid.to_modes` and goes back
+        through `Grid.from_modes`.  Writes into `c` when omega = 0.
+        """
         if self.m12 is None:
-            return self.m11 * c1, self.m22 * c2
-        return (self.m11 * c1 + self.m12 * c2,
-                self.m12 * c1 + self.m22 * c2)
+            c *= self.diag
+            return c
+        out = self.diag * c
+        out += self.m12 * c[::-1]
+        return out
 
 
 def build_mode_propagators(grid: Grid, params: Params, tau: float) -> ModePropagator:
@@ -116,13 +130,22 @@ def build_mode_propagators(grid: Grid, params: Params, tau: float) -> ModePropag
     return ModePropagator(grid, params, tau)
 
 
-def _nonlinear_phase(psi1, psi2, v1, v2, params: Params, dt: float):
-    """Exact trap/nonlinear phase flow over dt (densities are invariant)."""
-    rho1 = np.abs(psi1) ** 2
-    rho2 = np.abs(psi2) ** 2
-    p1 = v1 + params.beta11 * rho1 + params.beta12 * rho2
-    p2 = v2 + params.beta12 * rho1 + params.beta22 * rho2
-    return psi1 * np.exp(-1j * dt * p1), psi2 * np.exp(-1j * dt * p2)
+def _nonlinear_phase(psi: np.ndarray, v1, v2, beta: np.ndarray,
+                     dt: float) -> np.ndarray:
+    """Exact trap/nonlinear phase flow over dt of stacked psi, in place.
+
+    The densities are invariant under the flow.
+    """
+    p = np.tensordot(beta, abs2(psi), 1)
+    p[0] += v1
+    p[1] += v2
+    p *= -dt
+    # e^{ip} as cos + i sin: the same values as np.exp(1j*p), computed faster
+    rot = np.empty(p.shape, dtype=np.complex128)
+    np.cos(p, out=rot.real)
+    np.sin(p, out=rot.imag)
+    psi *= rot
+    return psi
 
 
 def tsfp_step(psi: Spinor, params: Params, propagators: ModePropagator,
@@ -137,21 +160,21 @@ def tsfp_step(psi: Spinor, params: Params, propagators: ModePropagator,
     if propagators.key != (params.k0, params.omega, params.delta):
         raise ValueError("propagator table was built for different params")
     g = psi.grid
-    v1, v2 = potential_field(params, g)
-    c1, c2 = propagators.apply(g.forward(psi.psi1), g.forward(psi.psi2))
-    p1, p2 = g.inverse(c1), g.inverse(c2)
-    p1, p2 = _nonlinear_phase(p1, p2, v1, v2, params, tau)
-    c1, c2 = propagators.apply(g.forward(p1), g.forward(p2))
-    return Spinor(g, g.inverse(c1), g.inverse(c2))
+    d = discretization(g, params)
+    a = g.from_modes(propagators.apply(g.to_modes(psi.psi)), overwrite=True)
+    a = _nonlinear_phase(a, d.v[0], d.v[1], d.beta, tau)
+    a = g.from_modes(propagators.apply(g.to_modes(a, overwrite=True)),
+                     overwrite=True)
+    return Spinor.from_stacked(g, a)
 
 
 @dataclass
 class BoxRotation:
     """Exact Raman rotation cache for the tilde-frame splitting.
 
-    r12/r21 carry the -i sin(omega*tau/2) e^{-+2ik0x} off-diagonal factors;
-    the per-node mixing matrix is unitary, so |psi1|^2 + |psi2|^2 is
-    preserved at every node.
+    r12/r21 carry the -i sin(omega*tau/2) e^{-+2ik0x} off-diagonal factors
+    (the rows of the stacked `off` table); the per-node mixing matrix is
+    unitary, so |psi1|^2 + |psi2|^2 is preserved at every node.
     """
 
     grid: Grid
@@ -161,10 +184,17 @@ class BoxRotation:
     r12: np.ndarray
     r21: np.ndarray
     phase: np.ndarray = field(repr=False, default=None)
+    off: np.ndarray = field(repr=False, default=None)
+
+    def rotate(self, psi: np.ndarray) -> np.ndarray:
+        """Rotated copy of a stacked (2, *shape) spinor array."""
+        out = self.cos_half * psi
+        out += self.off * psi[::-1]
+        return out
 
     def apply(self, psi1, psi2):
-        return (self.cos_half * psi1 + self.r12 * psi2,
-                self.r21 * psi1 + self.cos_half * psi2)
+        out = self.rotate(np.stack((psi1, psi2)))
+        return out[0], out[1]
 
     def t_matrices(self) -> np.ndarray:
         """Unitary diagonalizer T(x) of the coupling, shape (2,2)+grid.shape."""
@@ -178,56 +208,56 @@ class BoxRotation:
 
 
 def build_box_rotation(grid: Grid, params: Params, tau: float) -> BoxRotation:
-    x = grid.coordinate(0)
-    phase = np.exp(-2j * params.k0 * x)
+    phase = np.conj(discretization(grid, params).phase)
     half = 0.5 * params.omega * tau
-    s = -1j * np.sin(half)
+    off = -1j * np.sin(half) * np.stack((phase, np.conj(phase)))
     return BoxRotation(
         grid=grid, tau=float(tau), key=(params.k0, params.omega),
-        cos_half=float(np.cos(half)), r12=s * phase, r21=s * np.conj(phase),
-        phase=phase,
+        cos_half=float(np.cos(half)), r12=off[0], r21=off[1],
+        phase=phase, off=off,
     )
 
 
-def _tilde_kinetic_phases(grid: Grid, params: Params, dt: float):
-    """Diagonal spectral phases of the tilde kinetic/detuning flow over dt."""
-    mu2 = grid.mu2
-    e1 = np.exp(-1j * dt * (0.5 * mu2 + 0.5 * params.delta))
-    e2 = np.exp(-1j * dt * (0.5 * mu2 - 0.5 * params.delta))
-    return e1, e2
+def _tilde_kinetic_phases(grid: Grid, params: Params, dt: float) -> np.ndarray:
+    """Stacked diagonal spectral phases of the tilde kinetic/detuning flow.
+
+    Scale free, like every multiplier between `Grid.to_modes` and
+    `Grid.from_modes`; unpacks as (e1, e2).
+    """
+    return np.exp((-1j * dt) * discretization(grid, params).symbol)
 
 
 def _tilde_strang_step(psi: Spinor, params: Params, tau: float,
                        rotation: BoxRotation, kin_phases, v1, v2) -> Spinor:
     """kinetic/2, phase/2, rotation, phase/2, kinetic/2 on any basis."""
     g = psi.grid
-    e1, e2 = kin_phases
-    p1 = g.inverse(e1 * g.forward(psi.psi1))
-    p2 = g.inverse(e2 * g.forward(psi.psi2))
-    p1, p2 = _nonlinear_phase(p1, p2, v1, v2, params, 0.5 * tau)
-    p1, p2 = rotation.apply(p1, p2)
-    p1, p2 = _nonlinear_phase(p1, p2, v1, v2, params, 0.5 * tau)
-    p1 = g.inverse(e1 * g.forward(p1))
-    p2 = g.inverse(e2 * g.forward(p2))
-    return Spinor(g, p1, p2)
+    beta = params.beta_matrix()
+    c = g.to_modes(psi.psi)
+    c *= kin_phases
+    a = g.from_modes(c, overwrite=True)
+    a = _nonlinear_phase(a, v1, v2, beta, 0.5 * tau)
+    a = rotation.rotate(a)
+    a = _nonlinear_phase(a, v1, v2, beta, 0.5 * tau)
+    c = g.to_modes(a, overwrite=True)
+    c *= kin_phases
+    return Spinor.from_stacked(g, g.from_modes(c, overwrite=True))
 
 
 def box_step(psi: Spinor, params: Params, tau: float,
              rotation: BoxRotation | None = None) -> Spinor:
     """One tilde-frame Strang step on a sine grid (box truncation)."""
-    if not psi.grid.is_sine:
-        raise ValueError("box_step requires a sine-basis grid")
     if params.frame != TILDE:
         raise ValueError("box_step runs in the tilde frame")
     g = psi.grid
+    d = discretization(g, params)
+    d.check_dynamics()
     if rotation is None:
         rotation = build_box_rotation(g, params, tau)
     elif rotation.grid != g or rotation.tau != tau or \
             rotation.key != (params.k0, params.omega):
         raise ValueError("rotation cache does not match this step")
-    v1, v2 = potential_field(params, g)
     kin = _tilde_kinetic_phases(g, params, 0.5 * tau)
-    return _tilde_strang_step(psi, params, tau, rotation, kin, v1, v2)
+    return _tilde_strang_step(psi, params, tau, rotation, kin, d.v[0], d.v[1])
 
 
 @dataclass
@@ -266,24 +296,20 @@ def evolve(psi0: Spinor, params: Params, options: EvolveOptions,
     state and is flagged `aborted`.
     """
     g = psi0.grid
-    n_steps = int(round(options.t_end / options.tau))
-    if abs(n_steps * options.tau - options.t_end) > 1e-9 * max(1.0, options.t_end):
-        raise ValueError("t_end must be an integer multiple of tau")
-
+    disc = discretization(g, params)
+    disc.check_dynamics()
     if params.frame == LAB:
         prop = build_mode_propagators(g, params, options.tau)
 
         def stepper(s):
             return tsfp_step(s, params, prop, options.tau)
     else:
-        if not g.is_sine:
-            raise ValueError("tilde-frame evolution runs on a sine grid")
         rot = build_box_rotation(g, params, options.tau)
         kin = _tilde_kinetic_phases(g, params, 0.5 * options.tau)
-        v1, v2 = potential_field(params, g)
 
         def stepper(s):
-            return _tilde_strang_step(s, params, options.tau, rot, kin, v1, v2)
+            return _tilde_strang_step(s, params, options.tau, rot, kin,
+                                      disc.v[0], disc.v[1])
 
     times = [0.0]
     records = [observables(psi0, params)]
@@ -295,10 +321,11 @@ def evolve(psi0: Spinor, params: Params, options: EvolveOptions,
 
     last_good = psi0
     aborted = False
+    n_steps = options.steps
     for step in range(1, n_steps + 1):
         psi = stepper(last_good)
         t = step * options.tau
-        if not (np.all(np.isfinite(psi.psi1)) and np.all(np.isfinite(psi.psi2))):
+        if not np.isfinite(np.vdot(psi.psi, psi.psi)):
             aborted = True
             break
         last_good = psi

@@ -14,6 +14,20 @@ Sine axis on (lo, hi) with n-1 interior nodes x_j = lo + j*h, j = 1..n-1:
 Parseval: quadrature(|f|^2) = W * sum_k |c_k|^2 with per-axis weight
 (hi-lo) for Fourier and (hi-lo)/2 for sine; W is the product over axes
 (`Grid.parseval_weight`).
+
+Stacked arrays and folded scale factors
+---------------------------------------
+The solvers keep a spinor as one (2, *shape) array and transform it with a
+single whole-array call over the trailing spatial axes: `Grid.to_modes`
+(fftn over Fourier axes, type-I dstn over sine axes, no scale factor) and
+`Grid.from_modes`, its exact inverse (ifftn/idstn, which carry 1/n and
+1/(2n) per axis).  Because the pair is an exact inverse, a spectral
+multiplier needs no scale factor: the 1/n of `forward` and the n (Fourier)
+or 1/2 (sine) of `inverse` cancel out of every flow denominator, propagator
+table and kinetic phase.  They survive only in Parseval sums, folded into
+`Grid.mode_weight = W / N^2` (N the product of the per-axis n):
+    quadrature(|f|^2) = mode_weight * sum |to_modes(f)|^2.
+`forward`/`inverse` are the same transforms with the 1/N and N restored.
 """
 
 from __future__ import annotations
@@ -150,55 +164,97 @@ class Grid:
     def parseval_weight(self) -> float:
         return float(np.prod([a.parseval_weight for a in self.axes]))
 
+    @cached_property
+    def mode_weight(self) -> float:
+        """Parseval weight of unscaled `to_modes` coefficients: W / N^2."""
+        return self.parseval_weight / self._n_prod**2
+
+    @cached_property
+    def _n_prod(self) -> float:
+        return float(np.prod([a.n for a in self.axes]))
+
     def _check_shape(self, field: np.ndarray):
         if field.shape != self.shape:
             raise ValueError(
                 f"field shape {field.shape} does not match grid shape {self.shape}"
             )
 
+    def _spatial_axes(self, arr: np.ndarray, basis: str):
+        lead = arr.ndim - self.dim
+        return tuple(lead + i for i, a in enumerate(self.axes) if a.basis == basis)
+
+    def to_modes(self, arr: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """Unscaled whole-array transform over the trailing `dim` axes.
+
+        Leading axes (such as the component axis of a stacked spinor) are
+        batch axes.  `overwrite` lets the transform reuse `arr`'s storage.
+        """
+        out = arr
+        fourier = self._spatial_axes(arr, FOURIER)
+        sine = self._spatial_axes(arr, SINE)
+        if fourier:
+            out = _fft.fftn(out, axes=fourier, overwrite_x=overwrite)
+            overwrite = True
+        if sine:
+            out = _fft.dstn(out, type=1, axes=sine, overwrite_x=overwrite)
+        return out
+
+    def from_modes(self, arr: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """Exact inverse of `to_modes` (same batch-axis convention)."""
+        out = arr
+        fourier = self._spatial_axes(arr, FOURIER)
+        sine = self._spatial_axes(arr, SINE)
+        if sine:
+            out = _fft.idstn(out, type=1, axes=sine, overwrite_x=overwrite)
+            overwrite = True
+        if fourier:
+            out = _fft.ifftn(out, axes=fourier, overwrite_x=overwrite)
+        return out
+
     def forward(self, field: np.ndarray) -> np.ndarray:
         """Physical samples -> spectral coefficients (1/n on each Fourier axis)."""
         field = np.asarray(field)
         self._check_shape(field)
-        out = field.astype(np.complex128, copy=True)
-        for i, a in enumerate(self.axes):
-            if a.basis == FOURIER:
-                out = _fft.fft(out, axis=i) / a.n
-            else:
-                out = _fft.dst(out, type=1, axis=i) / a.n
+        out = self.to_modes(field.astype(np.complex128), overwrite=True)
+        out /= self._n_prod
         return out
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
         """Spectral coefficients -> physical samples."""
         coeffs = np.asarray(coeffs)
         self._check_shape(coeffs)
-        out = coeffs.astype(np.complex128, copy=True)
-        for i, a in enumerate(self.axes):
-            if a.basis == FOURIER:
-                out = _fft.ifft(out, axis=i) * a.n
-            else:
-                out = _fft.dst(out, type=1, axis=i) / 2.0
+        out = self.from_modes(coeffs.astype(np.complex128), overwrite=True)
+        out *= self._n_prod
         return out
 
     def deriv(self, field: np.ndarray, axis: int) -> np.ndarray:
-        """Spectral first derivative along `axis`."""
+        """Spectral first derivative along spatial `axis`.
+
+        `field` has the grid shape, or carries leading batch axes in front of
+        it (a stacked spinor).
+        """
         field = np.asarray(field)
-        self._check_shape(field)
+        if field.shape[field.ndim - self.dim:] != self.shape:
+            raise ValueError(
+                f"field shape {field.shape} does not match grid shape {self.shape}"
+            )
         a = self.axes[axis]
+        ax = field.ndim - self.dim + axis
+        mu = self.wavenumbers[axis].reshape((-1,) + (1,) * (self.dim - 1 - axis))
         if a.basis == FOURIER:
-            c = _fft.fft(field.astype(np.complex128), axis=axis)
-            c *= 1j * self._along(self.wavenumbers[axis], axis)
-            return _fft.ifft(c, axis=axis)
+            c = _fft.fft(field.astype(np.complex128), axis=ax)
+            c *= 1j * mu
+            return _fft.ifft(c, axis=ax, overwrite_x=True)
         # sine series differentiates into a cosine series; evaluate it at the
         # interior nodes through a DCT-I padded with the two boundary zeros
-        c = _fft.dst(field.astype(np.complex128), type=1, axis=axis) / a.n
-        c *= self._along(self.wavenumbers[axis], axis)
-        pad = [(0, 0)] * self.dim
-        pad[axis] = (1, 1)
+        c = _fft.dst(field.astype(np.complex128), type=1, axis=ax) / a.n
+        c *= mu
+        pad = [(0, 0)] * field.ndim
+        pad[ax] = (1, 1)
         padded = np.pad(c, pad)
-        cos_vals = _fft.dct(padded, type=1, axis=axis) / 2.0
-        sl = [slice(None)] * self.dim
-        sl[axis] = slice(1, a.n)
+        cos_vals = _fft.dct(padded, type=1, axis=ax, overwrite_x=True) / 2.0
+        sl = [slice(None)] * field.ndim
+        sl[ax] = slice(1, a.n)
         return cos_vals[tuple(sl)]
 
     def laplacian(self, field: np.ndarray) -> np.ndarray:

@@ -25,15 +25,16 @@ import numpy as np
 
 from .grid import Grid
 from .model import (
-    BOX,
     LAB,
     TILDE,
+    Discretization,
     Params,
     Spinor,
+    abs2,
     chemical_potential,
+    discretization,
     energy,
     gauge_transform,
-    potential_field,
     raman_overlap,
     uniqueness_indicator,
 )
@@ -101,102 +102,56 @@ def effective_tau(options: GfdnOptions, params: Params) -> float:
 
 
 class _Flow:
-    """Precomputed symbols and buffers for one (grid, params, tau) flow."""
+    """Per-solve shifts and backward-Euler tables on a shared discretization.
 
-    def __init__(self, grid: Grid, params: Params, tau: float):
-        if params.frame == TILDE:
-            if params.potential == BOX and not grid.is_sine:
-                raise ValueError("box-potential flow requires a sine grid")
-        else:
-            if params.potential == BOX:
-                if params.k0 != 0.0:
-                    raise ValueError(
-                        "lab-frame gradient flow with a box potential is only "
-                        "valid at k0 = 0; use besp_solve in the tilde frame"
-                    )
-                if not grid.is_sine:
-                    raise ValueError("box potential requires a sine grid")
-            elif not grid.is_fourier:
-                raise ValueError(
-                    f"{params.potential} potential flow requires a Fourier grid"
-                )
-            if params.k0 != 0.0 and not grid.is_fourier:
-                raise ValueError("spin-orbit derivative needs a Fourier grid")
-        self.grid = grid
-        self.params = params
+    The flow works on stacked (2, *shape) arrays.  `Grid.to_modes` and
+    `Grid.from_modes` are an exact inverse pair, so the denominators need no
+    transform scale factor.
+    """
+
+    def __init__(self, disc: Discretization, tau: float):
+        disc.check_flow()
+        self.disc = disc
         self.tau = tau
-        self.v1, self.v2 = potential_field(params, grid)
-        self.mu2 = grid.mu2
-        self.mux = grid.mu(0) if (params.frame == LAB and params.k0 != 0.0) else None
-        if params.frame == TILDE and params.k0 != 0.0:
-            x = grid.coordinate(0)
-            self.phase = np.exp(2j * params.k0 * x)
-        else:
-            self.phase = None
-        self.den1 = None
-        self.den2 = None
-        self.alpha = 0.0
-        self.mu_hat = 0.0
+        self.tau_beta = tau * disc.beta
+        self.tau_coupling = tau * disc.coupling
+        self.inv_den = None
+        self.lin = None
 
     def guard_floor(self, mu_hat: float) -> float:
         # keeps every backward-Euler denominator >= 1
-        p = self.params
+        p = self.disc.params
         floor = mu_hat + 0.5 * abs(p.delta)
         if p.frame == LAB:
             floor += 0.5 * p.k0**2
         return floor
 
-    def auto_alpha(self, phi: Spinor) -> float:
-        p = self.params
-        rho1 = np.abs(phi.psi1) ** 2
-        rho2 = np.abs(phi.psi2) ** 2
-        g1 = self.v1 + p.beta11 * rho1 + p.beta12 * rho2
-        g2 = self.v2 + p.beta12 * rho1 + p.beta22 * rho2
-        return 0.5 * max(float(g1.max()), float(g2.max()))
+    def auto_alpha(self, psi: np.ndarray) -> float:
+        d = self.disc
+        return 0.5 * float((d.v + d.mean_field(abs2(psi))).max())
 
     def set_shifts(self, alpha: float, mu_hat: float):
-        p = self.params
         tau = self.tau
-        self.alpha = alpha
-        self.mu_hat = mu_hat
-        base = 1.0 + tau * (0.5 * self.mu2 + alpha - mu_hat)
-        if p.frame == LAB:
-            so = -p.k0 * self.mux if self.mux is not None else 0.0
-            self.den1 = base + tau * (so + 0.5 * p.delta)
-            self.den2 = base + tau * (-so - 0.5 * p.delta)
-        else:
-            self.den1 = base + tau * (0.5 * p.delta)
-            self.den2 = base - tau * (0.5 * p.delta)
+        self.inv_den = 1.0 / (1.0 + tau * (self.disc.symbol + (alpha - mu_hat)))
+        self.lin = 1.0 + tau * (alpha - self.disc.v)
 
-    def step(self, phi: Spinor) -> Spinor:
-        """One backward-Euler step plus joint renormalization."""
-        p = self.params
-        g = self.grid
-        tau = self.tau
-        rho1 = np.abs(phi.psi1) ** 2
-        rho2 = np.abs(phi.psi2) ** 2
-        g1 = (self.alpha - self.v1 - p.beta11 * rho1 - p.beta12 * rho2) * phi.psi1
-        g2 = (self.alpha - self.v2 - p.beta12 * rho1 - p.beta22 * rho2) * phi.psi2
-        if p.frame == LAB:
-            g1 = g1 - 0.5 * p.omega * phi.psi2
-            g2 = g2 - 0.5 * p.omega * phi.psi1
-        else:
-            if self.phase is not None:
-                g1 = g1 - 0.5 * p.omega * np.conj(self.phase) * phi.psi2
-                g2 = g2 - 0.5 * p.omega * self.phase * phi.psi1
-            else:
-                g1 = g1 - 0.5 * p.omega * phi.psi2
-                g2 = g2 - 0.5 * p.omega * phi.psi1
-        c1 = g.forward(phi.psi1 + tau * g1) / self.den1
-        c2 = g.forward(phi.psi2 + tau * g2) / self.den2
-        psi1 = g.inverse(c1)
-        psi2 = g.inverse(c2)
-        if not (np.all(np.isfinite(psi1)) and np.all(np.isfinite(psi2))):
+    def step(self, psi: np.ndarray) -> np.ndarray:
+        """One backward-Euler step plus joint renormalization (new array)."""
+        g = self.disc.grid
+        u = (self.lin - np.tensordot(self.tau_beta, abs2(psi), 1)) * psi
+        u -= self.tau_coupling * psi[::-1]
+        c = g.to_modes(u, overwrite=True)
+        c *= self.inv_den
+        out = g.from_modes(c, overwrite=True)
+        norm_sq = g.cell_volume * np.vdot(out, out).real
+        if not np.isfinite(norm_sq):
             raise FloatingPointError(
                 "gradient flow produced non-finite values (tau too large?)"
             )
-        out = Spinor(g, psi1, psi2)
-        return out.normalized()
+        if norm_sq == 0.0:
+            raise ValueError("cannot normalize a zero spinor")
+        out /= np.sqrt(norm_sq)
+        return out
 
 
 def gfdn_step(phi: Spinor, params: Params, options: GfdnOptions) -> Spinor:
@@ -205,19 +160,20 @@ def gfdn_step(phi: Spinor, params: Params, options: GfdnOptions) -> Spinor:
     Self-contained form of the solver's inner iteration: the stabilization
     and chemical-potential shifts are computed from `phi` itself.
     """
-    flow = _Flow(phi.grid, params, options.tau)
+    flow = _Flow(discretization(phi.grid, params), options.tau)
     alpha_base = (options.stabilization_shift
                   if options.stabilization_shift is not None
-                  else flow.auto_alpha(phi))
+                  else flow.auto_alpha(phi.psi))
     mu_hat = chemical_potential(phi, params)
     flow.set_shifts(max(alpha_base, flow.guard_floor(mu_hat)), mu_hat)
-    return flow.step(phi)
+    return Spinor.from_stacked(phi.grid, flow.step(phi.psi))
 
 
 def _solve(params: Params, grid: Grid, options: GfdnOptions,
            phi0: Spinor | None = None) -> GroundStateResult:
     tau = effective_tau(options, params)
-    flow = _Flow(grid, params, tau)
+    disc = discretization(grid, params)
+    flow = _Flow(disc, tau)
     if phi0 is None:
         init = options.init if options.init != "auto" else "gaussian_pair"
         phi = build_initial_state(init, grid, params)
@@ -227,22 +183,20 @@ def _solve(params: Params, grid: Grid, options: GfdnOptions,
     mu_hat = chemical_potential(phi, params)
     alpha_base = (options.stabilization_shift
                   if options.stabilization_shift is not None
-                  else flow.auto_alpha(phi))
+                  else flow.auto_alpha(phi.psi))
     flow.set_shifts(max(alpha_base, flow.guard_floor(mu_hat)), mu_hat)
 
     history_iters, history_energy, history_residual = [], [], []
+    psi = phi.psi
     residual = np.inf
     converged = False
     iterations = 0
-    warnings = []
+    warnings = list(disc.warnings)
     try:
         for it in range(1, options.max_iters + 1):
-            new = flow.step(phi)
-            diff = max(
-                float(np.abs(new.psi1 - phi.psi1).max()),
-                float(np.abs(new.psi2 - phi.psi2).max()),
-            ) / tau
-            phi = new
+            new = flow.step(psi)
+            diff = float(np.abs(new - psi).max()) / tau
+            psi = new
             iterations = it
             residual = diff
             refresh_mu = options.mu_update_every and it % options.mu_update_every == 0
@@ -250,19 +204,22 @@ def _solve(params: Params, grid: Grid, options: GfdnOptions,
                              and it % options.shift_update_every == 0)
             if refresh_mu or refresh_alpha:
                 if refresh_mu:
-                    mu_hat = chemical_potential(phi, params)
+                    mu_hat = chemical_potential(Spinor.from_stacked(grid, psi),
+                                                params)
                 if refresh_alpha:
-                    alpha_base = flow.auto_alpha(phi)
+                    alpha_base = flow.auto_alpha(psi)
                 flow.set_shifts(max(alpha_base, flow.guard_floor(mu_hat)), mu_hat)
             if options.record_every and it % options.record_every == 0:
                 history_iters.append(it)
-                history_energy.append(energy(phi, params))
+                history_energy.append(energy(Spinor.from_stacked(grid, psi),
+                                             params))
                 history_residual.append(diff)
             if diff < options.tol:
                 converged = True
                 break
     except FloatingPointError as exc:
         warnings.append(str(exc))
+    phi = Spinor.from_stacked(grid, psi)
 
     if not converged:
         warnings.append(
@@ -324,10 +281,6 @@ def besp_solve(params: Params, grid: Grid, options: GfdnOptions | None = None,
     options = options or GfdnOptions()
     if params.frame != TILDE:
         raise ValueError("besp_solve requires tilde-frame params")
-    if params.potential != BOX:
-        raise ValueError("besp_solve requires the box potential")
-    if not grid.is_sine:
-        raise ValueError("besp_solve requires a sine-basis grid")
     return _solve(params, grid, options, phi0)
 
 
@@ -451,6 +404,29 @@ def _symmetrized_reference(params: Params, grid: Grid,
     return np.abs(res.phi.psi1) / np.sqrt(2.0)
 
 
+SWEPT_PARAMETER = {
+    "large_k0": "k0", "large_omega": "omega", "large_delta": "delta",
+    "rate_small_k0": "k0", "rate_large_k0": "k0",
+    "energy_competition": "omega",
+}
+
+
+def check_study(kind: str, params: Params, values):
+    """Raise ValueError unless `limit_study` can run this sweep.
+
+    Besides the sweep's own rules, every swept parameter set must admit the
+    gradient flow on its discretization (checked by the caller per grid).
+    """
+    if kind not in SWEPT_PARAMETER:
+        raise ValueError(f"unknown limit study kind {kind!r}")
+    if not values:
+        raise ValueError("empty sweep")
+    if kind in _RATE_KINDS and len(values) < 3:
+        raise ValueError(f"{kind} needs at least 3 sweep values for a fit")
+    if kind == "energy_competition" and params.k0 == 0.0:
+        raise ValueError("energy_competition needs k0 != 0")
+
+
 def limit_study(kind: str, params: Params, grid: Grid, values,
                 options: GfdnOptions | None = None,
                 threads: int = 1) -> LimitStudyResult:
@@ -471,10 +447,7 @@ def limit_study(kind: str, params: Params, grid: Grid, values,
     """
     options = options or GfdnOptions()
     values = [float(v) for v in values]
-    if kind in _RATE_KINDS and len(values) < 3:
-        raise ValueError(f"{kind} needs at least 3 sweep values for a fit")
-    if not values:
-        raise ValueError("empty sweep")
+    check_study(kind, params, values)
 
     diagnostics: dict = {}
     results = []
@@ -551,15 +524,11 @@ def limit_study(kind: str, params: Params, grid: Grid, values,
                                       np.log(errs), 1)
         slope, intercept = float(slope), float(intercept)
     elif kind == "energy_competition":
-        if params.k0 == 0.0:
-            raise ValueError("energy_competition needs k0 != 0")
         sweep("omega")
         excess = [r.energy + 0.5 * params.k0**2 for r in results]
         diagnostics["energy_excess"] = excess
         w = np.array(values) ** 2 / params.k0**2
         fitted_c0 = float(-np.dot(w, excess) / np.dot(w, w))
-    else:
-        raise ValueError(f"unknown limit study kind {kind!r}")
 
     diagnostics["energy"] = [r.energy for r in results]
     diagnostics["converged"] = [r.converged for r in results]

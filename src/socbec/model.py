@@ -7,15 +7,20 @@ detuning +-delta/2, and cubic cross/self interactions beta_jl.  Every
 functional has a lab-frame and a tilde-frame (gauge-transformed) realization
 selected by `Params.frame`: the tilde frame trades the first-derivative
 spin-orbit term for an oscillatory exp(+-2i*k0*x) factor on the Raman term.
+
+`discretization(grid, params)` returns the one cached `Discretization` of a
+(grid, params) pair: its fields, spectral symbols, frame/basis rules and
+resolution warnings, read by the functionals here and by the solvers.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import Grid
+from .grid import FOURIER, SINE, Grid
 
 HARMONIC = "harmonic"
 BOX = "box"
@@ -67,25 +72,52 @@ class Params:
 
 
 class Spinor:
-    """Pair of complex fields sampled on a shared grid."""
+    """Pair of complex fields sampled on a shared grid.
+
+    The pair is held as one stacked (2, *grid.shape) array `psi`; psi1 and
+    psi2 are views of its rows.  Code that hands a Spinor out never writes
+    into its array afterwards.
+    """
 
     def __init__(self, grid: Grid, psi1: np.ndarray, psi2: np.ndarray):
-        psi1 = np.asarray(psi1, dtype=np.complex128)
-        psi2 = np.asarray(psi2, dtype=np.complex128)
+        psi1 = np.asarray(psi1)
+        psi2 = np.asarray(psi2)
         if psi1.shape != grid.shape or psi2.shape != grid.shape:
             raise ValueError(
                 f"component shapes {psi1.shape}, {psi2.shape} do not match "
                 f"grid shape {grid.shape}"
             )
         self.grid = grid
-        self.psi1 = psi1
-        self.psi2 = psi2
+        self.psi = np.stack((psi1, psi2)).astype(np.complex128, copy=False)
+
+    @classmethod
+    def from_stacked(cls, grid: Grid, psi: np.ndarray) -> "Spinor":
+        """Wrap a stacked (2, *grid.shape) complex array without copying."""
+        psi = np.asarray(psi, dtype=np.complex128)
+        if psi.shape != (2,) + grid.shape:
+            raise ValueError(
+                f"stacked spinor shape {psi.shape} does not match "
+                f"(2,) + grid shape {grid.shape}"
+            )
+        out = cls.__new__(cls)
+        out.grid = grid
+        out.psi = psi
+        return out
+
+    @property
+    def psi1(self) -> np.ndarray:
+        return self.psi[0]
+
+    @property
+    def psi2(self) -> np.ndarray:
+        return self.psi[1]
 
     def copy(self) -> "Spinor":
-        return Spinor(self.grid, self.psi1.copy(), self.psi2.copy())
+        return Spinor.from_stacked(self.grid, self.psi.copy())
 
     def density(self) -> np.ndarray:
-        return np.abs(self.psi1) ** 2 + np.abs(self.psi2) ** 2
+        rho = abs2(self.psi)
+        return rho[0] + rho[1]
 
     def norm_sq(self) -> float:
         return self.grid.quadrature(self.density())
@@ -94,12 +126,16 @@ class Spinor:
         s = np.sqrt(self.norm_sq())
         if s == 0.0:
             raise ValueError("cannot normalize a zero spinor")
-        return Spinor(self.grid, self.psi1 / s, self.psi2 / s)
+        return Spinor.from_stacked(self.grid, self.psi / s)
 
     def component_masses(self):
-        n1 = self.grid.quadrature(np.abs(self.psi1) ** 2)
-        n2 = self.grid.quadrature(np.abs(self.psi2) ** 2)
-        return n1, n2
+        n1, n2 = abs2(self.psi).reshape(2, -1).sum(axis=1) * self.grid.cell_volume
+        return float(n1), float(n2)
+
+
+def abs2(a: np.ndarray) -> np.ndarray:
+    """|a|^2 elementwise."""
+    return a.real**2 + a.imag**2
 
 
 @dataclass
@@ -126,79 +162,164 @@ class BandParams:
     delta_inf: float
 
 
+class Discretization:
+    """Fields, spectral symbols and validity rules of one (grid, params) pair.
+
+    Built once per pair by `discretization` and shared by every solve, step
+    and functional on it, including the threads of a multi-start: nothing
+    changes after construction and the arrays are read-only.  Per-solve
+    state (shifts, denominators) belongs to the solver.
+
+    Attributes (stacked ones have shape (2, *grid.shape)):
+        v          stacked trap fields (V1, V2)
+        phase      e^{2ik0x}, the tilde-frame Raman factor
+        coupling   R with H_raman psi = R * psi[::-1]: omega/2 in the lab
+                   frame, stacked omega/2 * (e^{-2ik0x}, e^{2ik0x}) in the
+                   tilde frame
+        mu2, mu_x  |mu|^2 and the x wavenumber over the mode grid
+        symbol     stacked diagonal symbol of the constant-coefficient block:
+                   |mu|^2/2 -+ k0*mu_x (lab frame, Fourier x axis) +- delta/2
+        energy_weight  mode_weight * symbol, so the quadratic part of the
+                   energy is sum(energy_weight * |to_modes(psi)|^2)
+        so_by_deriv  lab frame with k0 != 0 on a sine x axis, where the
+                   spin-orbit term is not diagonal in the basis and is taken
+                   in physical space through `Grid.deriv`
+        warnings   resolution warnings
+    """
+
+    def __init__(self, grid: Grid, params: Params):
+        if params.potential == BOX and not grid.is_sine:
+            raise ValueError("box potential requires a sine-basis (Dirichlet) grid")
+        self.grid = grid
+        self.params = params
+        self.beta = params.beta_matrix()
+        self.v = np.zeros((2,) + grid.shape)
+        if params.potential == HARMONIC:
+            gammas = params.gammas(grid.dim)
+            if any(g <= 0 for g in gammas):
+                raise ValueError(
+                    f"harmonic potential needs positive trap frequencies, got {gammas}"
+                )
+            for i, g in enumerate(gammas):
+                self.v += 0.5 * g**2 * grid.coordinate(i) ** 2
+        x = grid.coordinate(0)
+        self.phase = np.exp(2j * params.k0 * x)
+        if params.frame == TILDE:
+            self.coupling = 0.5 * params.omega * np.stack(
+                (np.conj(self.phase), self.phase))
+        else:
+            self.coupling = 0.5 * params.omega
+        self.mu2 = grid.mu2
+        self.mu_x = grid.mu(0) * np.ones(grid.shape)
+        x_fourier = grid.axes[0].basis == FOURIER
+        spin_orbit = params.frame == LAB and params.k0 != 0.0
+        self.so_by_deriv = spin_orbit and not x_fourier
+        so = params.k0 * self.mu_x if spin_orbit and x_fourier else 0.0
+        self.symbol = np.stack((0.5 * self.mu2 - so + 0.5 * params.delta,
+                                0.5 * self.mu2 + so - 0.5 * params.delta))
+        self.energy_weight = grid.mode_weight * self.symbol
+        for arr in (self.v, self.phase, self.coupling, self.mu_x, self.symbol,
+                    self.energy_weight):
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+        self.warnings = self._resolution_warnings()
+
+    def _resolution_warnings(self):
+        # k_max is pi/h on a Fourier axis and pi*(n-1)/L on a sine axis
+        p = self.params
+        k_max = float(np.abs(self.grid.wavenumbers[0]).max())
+        if (p.frame == TILDE and self.grid.axes[0].basis == SINE
+                and 2.0 * abs(p.k0) > k_max):
+            return (f"under-resolved spin-orbit scale: 2|k0| = {2 * abs(p.k0):g} "
+                    f"exceeds the largest x wavenumber {k_max:.6g} of the grid; "
+                    "the e^(2ik0x) Raman factor aliases",)
+        if p.frame == LAB and abs(p.k0) >= k_max:
+            return (f"under-resolved spin-orbit scale: |k0| = {abs(p.k0):g} "
+                    f"reaches the largest x wavenumber {k_max:.6g} of the grid",)
+        return ()
+
+    def check_flow(self):
+        """Raise ValueError unless the gradient flow can run on this pair."""
+        p = self.params
+        if p.frame == TILDE:
+            if p.potential != BOX:
+                raise ValueError("the tilde-frame flow requires the box potential")
+        elif p.potential == BOX:
+            if p.k0 != 0.0:
+                raise ValueError(
+                    "lab-frame gradient flow with a box potential is only "
+                    "valid at k0 = 0; use besp_solve in the tilde frame"
+                )
+        elif not self.grid.is_fourier:
+            raise ValueError(
+                f"{p.potential} potential flow requires a Fourier grid"
+            )
+
+    def check_dynamics(self):
+        """Raise ValueError unless a splitting stepper exists for this pair."""
+        if self.params.frame == LAB and not self.grid.is_fourier:
+            raise ValueError("lab-frame dynamics (TSFP) requires a Fourier grid")
+        if self.params.frame == TILDE and not self.grid.is_sine:
+            raise ValueError("tilde-frame evolution runs on a sine grid")
+
+    def mean_field(self, rho: np.ndarray) -> np.ndarray:
+        """beta @ rho over the component axis of stacked densities."""
+        return np.tensordot(self.beta, rho, 1)
+
+    def overlap(self, psi: np.ndarray) -> float:
+        """Re int psi1 conj(psi2), times e^{2ik0x} in the tilde frame."""
+        p1 = self.phase * psi[0] if self.params.frame == TILDE else psi[0]
+        return self.grid.cell_volume * float(np.vdot(psi[1], p1).real)
+
+    def deriv_spin_orbit(self, psi: np.ndarray) -> float:
+        """Re(i k0 int conj(psi1) dx psi1 - conj(psi2) dx psi2) via Grid.deriv."""
+        d = self.grid.deriv(psi, 0)
+        t = np.vdot(psi[0], d[0]) - np.vdot(psi[1], d[1])
+        return float(np.real(1j * self.params.k0 * t)) * self.grid.cell_volume
+
+    def energy_parts(self, psi: np.ndarray, rho: np.ndarray, modes2: np.ndarray):
+        """(energy, quartic integral) of stacked psi.
+
+        rho = |psi|^2 and modes2 = |to_modes(psi)|^2; the kinetic, diagonal
+        spin-orbit and detuning terms are the Parseval sum over modes2.
+        """
+        cv = self.grid.cell_volume
+        quartic = 0.5 * cv * float(np.vdot(rho, self.mean_field(rho)))
+        val = float(np.vdot(self.energy_weight, modes2))
+        val += cv * float(np.vdot(self.v, rho))
+        val += quartic + self.params.omega * self.overlap(psi)
+        if self.so_by_deriv:
+            val += self.deriv_spin_orbit(psi)
+        return val, quartic
+
+
+@functools.lru_cache(maxsize=4)
+def discretization(grid: Grid, params: Params) -> Discretization:
+    """The shared `Discretization` of (grid, params), built on first use.
+
+    Raises ValueError when the potential cannot live on the grid.
+    """
+    return Discretization(grid, params)
+
+
 def potential_field(params: Params, grid: Grid):
-    """Per-component trap fields (V1, V2) on the grid.
+    """Per-component trap fields (V1, V2) on the grid (read-only arrays).
 
     The box potential is encoded by the Dirichlet (sine) basis with V = 0
     inside, so requesting it on a Fourier grid is an error.
     """
-    if params.potential == BOX:
-        if not grid.is_sine:
-            raise ValueError("box potential requires a sine-basis (Dirichlet) grid")
-        v = np.zeros(grid.shape)
-        return v, v
-    if params.potential == FREE:
-        v = np.zeros(grid.shape)
-        return v, v
-    gammas = params.gammas(grid.dim)
-    if any(g <= 0 for g in gammas):
-        raise ValueError(
-            f"harmonic potential needs positive trap frequencies, got {gammas}"
-        )
-    v = np.zeros(grid.shape)
-    for i, g in enumerate(gammas):
-        v = v + 0.5 * g**2 * grid.coordinate(i) ** 2
-    return v, v
+    v = discretization(grid, params).v
+    return v[0], v[1]
 
 
-def _raman_phase(params: Params, grid: Grid) -> np.ndarray:
-    """exp(2i*k0*x) carried by the tilde-frame Raman term."""
-    return np.exp(2j * params.k0 * grid.coordinate(0))
-
-
-def _quartic_integral(phi: Spinor, params: Params) -> float:
-    rho1 = np.abs(phi.psi1) ** 2
-    rho2 = np.abs(phi.psi2) ** 2
-    integrand = (
-        0.5 * params.beta11 * rho1**2
-        + 0.5 * params.beta22 * rho2**2
-        + params.beta12 * rho1 * rho2
-    )
-    return phi.grid.quadrature(integrand)
-
-
-def _kinetic(phi: Spinor) -> float:
-    # 0.5*|grad psi|^2 integrated as -0.5*Re(conj(psi) lap psi): exact under
-    # both bases (boundary terms vanish) and spectrally consistent
-    g = phi.grid
-    val = 0.0
-    for psi in (phi.psi1, phi.psi2):
-        val -= 0.5 * g.quadrature(np.real(np.conj(psi) * g.laplacian(psi)))
-    return val
+def _modes2(phi: Spinor) -> np.ndarray:
+    return abs2(phi.grid.to_modes(phi.psi))
 
 
 def energy(phi: Spinor, params: Params) -> float:
     """Energy functional in the frame selected by params.frame."""
-    g = phi.grid
-    v1, v2 = potential_field(params, g)
-    rho1 = np.abs(phi.psi1) ** 2
-    rho2 = np.abs(phi.psi2) ** 2
-    val = _kinetic(phi)
-    val += g.quadrature(v1 * rho1 + v2 * rho2)
-    val += 0.5 * params.delta * g.quadrature(rho1 - rho2)
-    val += _quartic_integral(phi, params)
-    if params.frame == LAB:
-        val += params.omega * np.real(g.quadrature(phi.psi1 * np.conj(phi.psi2)))
-        if params.k0 != 0.0:
-            t1 = g.quadrature(np.conj(phi.psi1) * g.deriv(phi.psi1, 0))
-            t2 = g.quadrature(np.conj(phi.psi2) * g.deriv(phi.psi2, 0))
-            val += np.real(1j * params.k0 * (t1 - t2))
-    else:
-        phase = _raman_phase(params, g)
-        val += params.omega * np.real(
-            g.quadrature(phase * phi.psi1 * np.conj(phi.psi2))
-        )
-    return float(val)
+    d = discretization(phi.grid, params)
+    return d.energy_parts(phi.psi, abs2(phi.psi), _modes2(phi))[0]
 
 
 def energy_variant(phi: Spinor, params: Params, variant: str) -> float:
@@ -219,11 +340,11 @@ def energy_variant(phi: Spinor, params: Params, variant: str) -> float:
     if variant == "tilde_no_raman":
         return energy(phi, params.with_(omega=0.0, frame=TILDE))
     if variant == "large_omega":
-        v1, v2 = potential_field(params, g)
+        v = discretization(g, params).v
         psi = phi.psi1
-        rho = np.abs(psi) ** 2
-        val = -0.5 * g.quadrature(np.real(np.conj(psi) * g.laplacian(psi)))
-        val += g.quadrature(0.5 * (v1 + v2) * rho)
+        rho = abs2(psi)
+        val = 0.5 * g.mode_weight * float(np.vdot(g.mu2, abs2(g.to_modes(psi))))
+        val += g.quadrature(0.5 * (v[0] + v[1]) * rho)
         bsum = 0.25 * (params.beta11 + params.beta22 + 2.0 * params.beta12)
         val += bsum * g.quadrature(rho**2)
         return float(val)
@@ -232,77 +353,74 @@ def energy_variant(phi: Spinor, params: Params, variant: str) -> float:
 
 def chemical_potential(phi: Spinor, params: Params) -> float:
     """Lagrange multiplier of the norm constraint: E plus the quartic integral."""
-    return energy(phi, params) + _quartic_integral(phi, params)
+    d = discretization(phi.grid, params)
+    e, quartic = d.energy_parts(phi.psi, abs2(phi.psi), _modes2(phi))
+    return e + quartic
 
 
 def raman_overlap(phi: Spinor, params: Params) -> float:
     """Re int psi1 conj(psi2) (lab) or Re int e^{2ik0x} psi1 conj(psi2) (tilde)."""
-    g = phi.grid
-    if params.frame == LAB:
-        return float(np.real(g.quadrature(phi.psi1 * np.conj(phi.psi2))))
-    phase = _raman_phase(params, g)
-    return float(np.real(g.quadrature(phase * phi.psi1 * np.conj(phi.psi2))))
+    return discretization(phi.grid, params).overlap(phi.psi)
 
 
 def observables(phi: Spinor, params: Params) -> Observables:
-    """All one-slice observables: masses, energy, mu, x_c, momentum, overlap."""
+    """All one-slice observables: masses, energy, mu, x_c, momentum, overlap.
+
+    One forward transform serves the energy and the Fourier-axis momenta
+    (Parseval); a sine axis takes its momentum through `Grid.deriv`.
+    """
     g = phi.grid
+    d = discretization(g, params)
+    psi = phi.psi
+    rho = abs2(psi)
+    modes2 = abs2(g.to_modes(psi))
+    e, quartic = d.energy_parts(psi, rho, modes2)
     n1, n2 = phi.component_masses()
-    rho = phi.density()
-    xc = np.array([g.quadrature(g.coordinate(i) * rho) for i in range(g.dim)])
+    total = rho[0] + rho[1]
+    xc = np.array([g.quadrature(g.coordinate(i) * total) for i in range(g.dim)])
+    mode_total = modes2[0] + modes2[1]
     mom = np.zeros(g.dim)
-    for i in range(g.dim):
-        val = 0.0
-        for psi in (phi.psi1, phi.psi2):
-            val += g.quadrature(np.imag(np.conj(psi) * g.deriv(psi, i)))
-        mom[i] = val
+    for i, a in enumerate(g.axes):
+        if a.basis == FOURIER:
+            mom[i] = g.mode_weight * float((g.mu(i) * mode_total).sum())
+        else:
+            mom[i] = g.quadrature(np.imag(np.conj(psi) * g.deriv(psi, i)).sum(axis=0))
     return Observables(
         mass=n1 + n2,
         mass1=n1,
         mass2=n2,
         delta_n=n1 - n2,
-        energy=energy(phi, params),
-        chem_mu=chemical_potential(phi, params),
+        energy=e,
+        chem_mu=e + quartic,
         xc=xc,
         momentum=mom,
-        raman_overlap=raman_overlap(phi, params),
+        raman_overlap=d.overlap(psi),
     )
 
 
 def apply_hamiltonian(phi: Spinor, params: Params) -> Spinor:
     """Euler-Lagrange operator H(phi) applied to phi in the active frame."""
     g = phi.grid
-    v1, v2 = potential_field(params, g)
-    rho1 = np.abs(phi.psi1) ** 2
-    rho2 = np.abs(phi.psi2) ** 2
-    h1 = (-0.5 * g.laplacian(phi.psi1)
-          + (v1 + 0.5 * params.delta
-             + params.beta11 * rho1 + params.beta12 * rho2) * phi.psi1)
-    h2 = (-0.5 * g.laplacian(phi.psi2)
-          + (v2 - 0.5 * params.delta
-             + params.beta12 * rho1 + params.beta22 * rho2) * phi.psi2)
-    if params.frame == LAB:
-        if params.k0 != 0.0:
-            h1 = h1 + 1j * params.k0 * g.deriv(phi.psi1, 0)
-            h2 = h2 - 1j * params.k0 * g.deriv(phi.psi2, 0)
-        h1 = h1 + 0.5 * params.omega * phi.psi2
-        h2 = h2 + 0.5 * params.omega * phi.psi1
-    else:
-        phase = _raman_phase(params, g)
-        h1 = h1 + 0.5 * params.omega * np.conj(phase) * phi.psi2
-        h2 = h2 + 0.5 * params.omega * phase * phi.psi1
-    return Spinor(g, h1, h2)
+    d = discretization(g, params)
+    psi = phi.psi
+    c = g.to_modes(psi)
+    c *= d.symbol
+    h = g.from_modes(c, overwrite=True)
+    h += (d.v + d.mean_field(abs2(psi))) * psi
+    h += d.coupling * psi[::-1]
+    if d.so_by_deriv:
+        dpsi = g.deriv(psi, 0)
+        h[0] += 1j * params.k0 * dpsi[0]
+        h[1] -= 1j * params.k0 * dpsi[1]
+    return Spinor.from_stacked(g, h)
 
 
 def eigen_residual(phi: Spinor, params: Params, mu: float | None = None) -> float:
     """Discrete L2 norm of H(phi)phi - mu*phi (mu defaults to chemical_potential)."""
     if mu is None:
         mu = chemical_potential(phi, params)
-    h = apply_hamiltonian(phi, params)
-    r1 = h.psi1 - mu * phi.psi1
-    r2 = h.psi2 - mu * phi.psi2
-    g = phi.grid
-    return float(np.sqrt(g.quadrature(np.abs(r1) ** 2 + np.abs(r2) ** 2)))
+    r = apply_hamiltonian(phi, params).psi - mu * phi.psi
+    return float(np.sqrt(phi.grid.cell_volume * np.vdot(r, r).real))
 
 
 def gauge_transform(phi: Spinor, params: Params, direction: str) -> Spinor:

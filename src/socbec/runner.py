@@ -37,12 +37,19 @@ from .com import (
 from .config import ExperimentConfig
 from .dynamics import EvolveOptions, evolve
 from .grid import FOURIER
-from .ground_state import GroundStateResult, lab_view, limit_study, solve_ground_state
+from .ground_state import (
+    GroundStateResult,
+    check_study,
+    lab_view,
+    limit_study,
+    solve_ground_state,
+)
 from .model import (
     LAB,
     TILDE,
     HARMONIC,
     Spinor,
+    discretization,
     gauge_transform,
     observables,
 )
@@ -88,6 +95,67 @@ class RunFailure(RuntimeError):
     pass
 
 
+def _evolve_options(config: ExperimentConfig) -> EvolveOptions:
+    spec = config.evolve
+    return EvolveOptions(tau=spec.tau, t_end=spec.t_end,
+                         record_every=spec.record_every,
+                         snapshot_every=spec.snapshot_every)
+
+
+def _shift_steps(grid, offset):
+    """Whole-cell shifts per axis for shifted initial data."""
+    shifts = []
+    for i, a in enumerate(grid.axes):
+        if a.basis != FOURIER:
+            raise RunFailure("shifted initial data needs a periodic grid")
+        steps = offset[i] / a.h
+        if abs(steps - round(steps)) > 1e-9:
+            raise RunFailure(
+                f"offset {offset[i]} along axis {i} is not a multiple of "
+                f"the grid spacing {a.h}"
+            )
+        shifts.append(int(round(steps)))
+    return shifts
+
+
+def preflight(config: ExperimentConfig) -> list:
+    """Dry run of the rules `run` applies before it solves or steps.
+
+    Builds the discretization of every parameter set the run uses and checks
+    it against the mode.  Raises ValueError or RunFailure on the first
+    violation; returns the resolution warnings.  The contents of an initial
+    checkpoint are checked when `run` loads it.
+    """
+    cfg = config
+    warnings: list = []
+
+    def use(params, flow: bool):
+        disc = discretization(cfg.grid, params)
+        if flow:
+            disc.check_flow()
+        else:
+            disc.check_dynamics()
+        warnings.extend(w for w in disc.warnings if w not in warnings)
+
+    if cfg.mode == "ground_state":
+        use(cfg.params, flow=True)
+    elif cfg.mode == "limit_study":
+        check_study(cfg.sweep.kind, cfg.params, cfg.sweep.values)
+        for v in cfg.sweep.values:
+            use(cfg.params.with_(**{cfg.sweep.parameter: v}), flow=True)
+    else:
+        if cfg.mode == "com_compare" and (cfg.params.potential != HARMONIC
+                                          or cfg.params.frame != LAB):
+            raise RunFailure("com_compare needs lab-frame harmonic-trap dynamics")
+        _evolve_options(cfg)
+        use(cfg.params, flow=False)
+        if cfg.initial.kind in ("ground_state", "shifted_ground_state"):
+            use(cfg.params, flow=True)
+        if cfg.initial.kind == "shifted_ground_state":
+            _shift_steps(cfg.grid, cfg.initial.offset or (0.0,) * cfg.grid.dim)
+    return warnings
+
+
 class _Run:
     def __init__(self, config: ExperimentConfig, out_dir, threads: int = 1):
         self.config = config
@@ -95,6 +163,11 @@ class _Run:
         self.threads = threads
         self.artifacts: list[str] = []
         self.notes: list[str] = []
+
+    def warn(self, message: str):
+        note = f"warning {message}"
+        if note not in self.notes:
+            self.notes.append(note)
 
     def path(self, name: str) -> Path:
         self.artifacts.append(name)
@@ -130,22 +203,10 @@ class _Run:
     # ---- initial states ------------------------------------------------
 
     def _shift_state(self, phi: Spinor, offset) -> Spinor:
-        grid = phi.grid
-        shifts = []
-        for i, a in enumerate(grid.axes):
-            if a.basis != FOURIER:
-                raise RunFailure("shifted initial data needs a periodic grid")
-            steps = offset[i] / a.h
-            if abs(steps - round(steps)) > 1e-9:
-                raise RunFailure(
-                    f"offset {offset[i]} along axis {i} is not a multiple of "
-                    f"the grid spacing {a.h}"
-                )
-            shifts.append(int(round(steps)))
-        return Spinor(
-            grid,
-            np.roll(phi.psi1, shifts, axis=tuple(range(grid.dim))),
-            np.roll(phi.psi2, shifts, axis=tuple(range(grid.dim))),
+        shifts = _shift_steps(phi.grid, offset)
+        return Spinor.from_stacked(
+            phi.grid,
+            np.roll(phi.psi, shifts, axis=tuple(range(1, phi.grid.dim + 1))),
         )
 
     def _ground_state(self) -> GroundStateResult:
@@ -209,7 +270,7 @@ class _Run:
         self.notes.append(f"iterations {res.iterations}")
         self.notes.append(f"residual {_fmt(res.residual)}")
         for w in res.warnings:
-            self.notes.append(f"warning {w}")
+            self.warn(w)
         if not res.converged:
             raise RunFailure(
                 "ground-state solve did not converge: " + "; ".join(res.warnings)
@@ -217,12 +278,7 @@ class _Run:
 
     def _run_evolution(self, psi0: Spinor):
         cfg = self.config
-        options = EvolveOptions(
-            tau=cfg.evolve.tau, t_end=cfg.evolve.t_end,
-            record_every=cfg.evolve.record_every,
-            snapshot_every=cfg.evolve.snapshot_every,
-        )
-        series = evolve(psi0, cfg.params, options)
+        series = evolve(psi0, cfg.params, _evolve_options(cfg))
         header = ["t"] + _obs_columns(cfg.grid.dim)
         rows = [[t] + _obs_values(r) for t, r in zip(series.times, series.records)]
         _write_csv(self.path("observables.csv"), header, rows)
@@ -271,10 +327,6 @@ class _Run:
 
     def run_com_compare(self):
         cfg = self.config
-        if cfg.params.potential != HARMONIC or cfg.params.frame != LAB:
-            raise RunFailure(
-                "com_compare needs lab-frame harmonic-trap dynamics"
-            )
         psi0 = self._initial_state()
         series = self._run_evolution(psi0)
         times = series.times
@@ -315,8 +367,9 @@ class _Run:
 def run(config: ExperimentConfig, out_dir=None, threads: int = 1) -> int:
     """Execute one experiment; returns the process exit status (0 or 2).
 
-    On failure the partial artifacts are kept and a FAILED marker with the
-    diagnostics is written next to them.
+    Every failure, from `preflight`'s rules to a solver error or an
+    unreadable checkpoint, keeps the partial artifacts and writes the
+    manifest and a FAILED marker with the diagnostics next to them.
     """
     r = _Run(config, out_dir, threads)
     r.out.mkdir(parents=True, exist_ok=True)
@@ -324,6 +377,8 @@ def run(config: ExperimentConfig, out_dir=None, threads: int = 1) -> int:
     if failed.exists():
         failed.unlink()
     try:
+        for w in preflight(config):
+            r.warn(w)
         if config.mode == "ground_state":
             r.run_ground_state()
         elif config.mode == "dynamics":
@@ -334,7 +389,7 @@ def run(config: ExperimentConfig, out_dir=None, threads: int = 1) -> int:
             r.run_com_compare()
         else:
             raise RunFailure(f"unknown mode {config.mode!r}")
-    except RunFailure as exc:
+    except (RunFailure, ValueError, FloatingPointError, OSError) as exc:
         r.write_manifest("failed")
         failed.write_text(str(exc) + "\n", encoding="utf-8")
         return EXIT_SOLVER

@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from socbec import (
     Axis,
@@ -79,3 +83,62 @@ def test_grid_compare_after_load(tmp_path):
     chk = load_checkpoint(path)
     other = make_grid([Axis(-4.0, 4.0, 16)])
     assert chk.spinor.grid != other
+
+
+# Header offsets of `sample_state`'s checkpoint: magic and version/dim take
+# 12 bytes, each axis record 21 (lo f64, hi f64, n u32, basis u8), then nine
+# f64 parameters from byte 54; the fields start at byte 144.
+AXIS0_LO, AXIS0_N, AXIS1_N = 12, 28, 49
+K0_OFFSET, PAYLOAD_OFFSET = 54, 144
+
+
+@pytest.mark.parametrize("fmt, offset, value", [
+    ("<I", AXIS0_N, 15),                 # odd n on the Fourier axis
+    ("<I", AXIS1_N, 2),                  # n < 4 on the sine axis
+    ("<d", AXIS0_LO, float("nan")),      # non-finite bound
+    ("<d", AXIS0_LO, 10.0),              # hi <= lo
+    ("<d", K0_OFFSET, float("inf")),     # non-finite parameter
+    ("<d", PAYLOAD_OFFSET, float("nan")),  # non-finite field value
+])
+def test_invalid_contents_raise_checkpoint_error(tmp_path, fmt, offset, value):
+    phi, p = sample_state()
+    path = tmp_path / "state.socb"
+    save_checkpoint(path, phi, p)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into(fmt, raw, offset, value)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_corrupted_bytes_load_or_raise_checkpoint_error(tmp_path, data):
+    phi, p = sample_state()
+    path = tmp_path / "state.socb"
+    save_checkpoint(path, phi, p)
+    raw = bytearray(path.read_bytes())
+    for _ in range(data.draw(st.integers(1, 4))):
+        raw[data.draw(st.integers(0, PAYLOAD_OFFSET + 16))] = data.draw(
+            st.integers(0, 255))
+    path.write_bytes(bytes(raw))
+    try:
+        chk = load_checkpoint(path)
+    except CheckpointError:
+        return
+    assert np.all(np.isfinite(chk.spinor.psi))
+
+
+def test_header_whose_size_overflows_int64_is_rejected(tmp_path):
+    # 2^21 * 2^21 * 2^22 = 2^64 samples: a 64-bit count wraps to 0, which
+    # an empty payload would match
+    raw = b"SOCB" + struct.pack("<II", 1, 3)
+    for n in (2**21, 2**21, 2**22):
+        raw += struct.pack("<ddIB", -1.0, 1.0, n, 0)
+    raw += struct.pack("<9dBB", *([0.0] * 6 + [1.0] * 3), 0, 0)
+    raw += struct.pack("<dQ", 0.0, 0)
+    path = tmp_path / "huge.socb"
+    path.write_bytes(raw)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from socbec import Axis, Params, Spinor, load_checkpoint, make_grid, save_checkpoint
 from socbec.cli import main
@@ -248,3 +249,53 @@ values = 1, 5, 10
     overlaps = [float(r.split(",")[1]) for r in lines[1:]]
     assert overlaps[0] > overlaps[1] > overlaps[2]
     assert (out / "state_k0_5.socb").exists()
+
+
+# ---- validate rejects what run rejects ----------------------------------------
+
+HARMONIC_ON_SINE = GS_CONFIG.replace("x = -16, 16, 64, fourier",
+                                     "x = -1, 1, 32, sine")
+
+BOX_ON_FOURIER = GS_CONFIG.replace("beta22 = 1", "beta22 = 1\npotential = box")
+
+T_END_NOT_MULTIPLE = DYN_CONFIG.replace("t_end = 0.05", "t_end = 0.0505")
+
+
+@pytest.mark.parametrize("text, needle", [
+    (HARMONIC_ON_SINE, "Fourier grid"),
+    (BOX_ON_FOURIER, "sine-basis"),
+    (T_END_NOT_MULTIPLE, "multiple of tau"),
+], ids=["harmonic_on_sine", "box_on_fourier", "t_end_not_multiple"])
+def test_validate_and_run_reject_alike(tmp_path, capsys, text, needle):
+    cfg = write(tmp_path, "bad.cfg", text)
+    assert main(["validate", cfg]) == 1
+    assert needle in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert needle in (out / "FAILED").read_text()
+    assert "status failed" in (out / "run_manifest.txt").read_text()
+
+
+def test_resolution_warning_in_failed_and_manifest(tmp_path, capsys):
+    # 2|k0| = 24 exceeds the largest sine wavenumber 15*pi/2 = 23.56
+    text = """
+[run]
+mode = ground_state
+[grid]
+x = -1, 1, 16, sine
+[params]
+potential = box
+k0 = 12
+omega = 3
+[gfdn]
+init = sine_opposite
+max_iters = 2
+"""
+    cfg = write(tmp_path, "box.cfg", text)
+    assert main(["validate", cfg]) == 0
+    assert "under-resolved" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert "under-resolved" in (out / "FAILED").read_text()
+    manifest = (out / "run_manifest.txt").read_text()
+    assert manifest.count("warning under-resolved") == 1
