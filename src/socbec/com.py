@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import step_count
 from .model import Params, Spinor, observables
 
 RESONANCE_TOL = 1e-12
@@ -152,11 +153,7 @@ def lda_ode_solve(initial: LdaState, params: Params, tau: float,
     Records (t, xc, Px) and the conserved quantity at every step; the fixed
     step keeps the conserved-quantity drift a meaningful integrator check.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    n = int(round(t_end / tau))
-    if abs(n * tau - t_end) > 1e-9 * max(1.0, t_end):
-        raise ValueError("t_end must be an integer multiple of tau")
+    n = step_count(tau, t_end)
     xc = np.empty(n + 1)
     px = np.empty(n + 1)
     xc[0], px[0] = initial.xc, initial.px

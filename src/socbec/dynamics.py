@@ -33,6 +33,22 @@ from .grid import Grid
 from .model import LAB, TILDE, Params, Spinor, abs2, discretization, observables
 
 
+def step_count(tau: float, t_end: float) -> int:
+    """Number of fixed steps tau that reach t_end exactly.
+
+    Raises ValueError unless tau > 0, t_end >= 0 and t_end is an integer
+    multiple of tau (to 1e-9 relative).
+    """
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    if t_end < 0:
+        raise ValueError("t_end must be >= 0")
+    n = int(round(t_end / tau))
+    if abs(n * tau - t_end) > 1e-9 * max(1.0, t_end):
+        raise ValueError("t_end must be an integer multiple of tau")
+    return n
+
+
 @dataclass
 class EvolveOptions:
     tau: float
@@ -41,18 +57,13 @@ class EvolveOptions:
     snapshot_every: int = 0
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.t_end < 0:
-            raise ValueError("t_end must be >= 0")
+        step_count(self.tau, self.t_end)
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
-        if abs(self.steps * self.tau - self.t_end) > 1e-9 * max(1.0, self.t_end):
-            raise ValueError("t_end must be an integer multiple of tau")
 
     @property
     def steps(self) -> int:
-        return int(round(self.t_end / self.tau))
+        return step_count(self.tau, self.t_end)
 
 
 class ModePropagator:

@@ -140,9 +140,6 @@ class Grid:
         """Coordinate of `axis` broadcast over the full grid shape."""
         return self._along(self.nodes[axis], axis) * np.ones(self.shape)
 
-    def meshes(self):
-        return tuple(self.coordinate(i) for i in range(self.dim))
-
     def _along(self, arr: np.ndarray, axis: int) -> np.ndarray:
         shp = [1] * self.dim
         shp[axis] = len(arr)

@@ -41,6 +41,8 @@ from .model import (
 from .states import base_profile, build_initial_state, single_component
 
 LARGE_OMEGA_TAU = 1e-3  # fallback fictitious step for |omega| >= 100
+MU_UPDATE_EVERY = 10  # iterations between chemical-potential shift refreshes
+SHIFT_UPDATE_EVERY = 50  # iterations between automatic stabilization refreshes
 
 
 @dataclass
@@ -61,14 +63,16 @@ class GfdnOptions:
     init: object = "gaussian_pair"
     stabilization_shift: float | None = None
     record_every: int = 0
-    shift_update_every: int = 50
-    mu_update_every: int = 10
 
     def __post_init__(self):
         if self.tau <= 0:
             raise ValueError("tau must be positive")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
+        if self.record_every < 0:
+            raise ValueError("record_every must be >= 0")
         if self.stabilization_shift is not None and self.stabilization_shift < 0:
             raise ValueError("stabilization shift must be >= 0")
 
@@ -199,9 +203,9 @@ def _solve(params: Params, grid: Grid, options: GfdnOptions,
             psi = new
             iterations = it
             residual = diff
-            refresh_mu = options.mu_update_every and it % options.mu_update_every == 0
+            refresh_mu = it % MU_UPDATE_EVERY == 0
             refresh_alpha = (options.stabilization_shift is None
-                             and it % options.shift_update_every == 0)
+                             and it % SHIFT_UPDATE_EVERY == 0)
             if refresh_mu or refresh_alpha:
                 if refresh_mu:
                     mu_hat = chemical_potential(Spinor.from_stacked(grid, psi),
@@ -423,6 +427,9 @@ def check_study(kind: str, params: Params, values):
         raise ValueError("empty sweep")
     if kind in _RATE_KINDS and len(values) < 3:
         raise ValueError(f"{kind} needs at least 3 sweep values for a fit")
+    if kind in ("rate_small_k0", "rate_large_k0") and min(values) <= 0:
+        # the fits take log(k0) and 1/sqrt(k0)
+        raise ValueError(f"{kind} needs positive k0 values")
     if kind == "energy_competition" and params.k0 == 0.0:
         raise ValueError("energy_competition needs k0 != 0")
 

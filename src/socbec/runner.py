@@ -35,7 +35,7 @@ from .com import (
     xc_closed_form,
 )
 from .config import ExperimentConfig
-from .dynamics import EvolveOptions, evolve
+from .dynamics import EvolveOptions, evolve, step_count
 from .grid import FOURIER
 from .ground_state import (
     GroundStateResult,
@@ -102,6 +102,11 @@ def _evolve_options(config: ExperimentConfig) -> EvolveOptions:
                          snapshot_every=spec.snapshot_every)
 
 
+def _lda_t_end(config: ExperimentConfig) -> float:
+    lda_t_end = config.lda.t_end
+    return lda_t_end if lda_t_end is not None else config.evolve.t_end
+
+
 def _shift_steps(grid, offset):
     """Whole-cell shifts per axis for shifted initial data."""
     shifts = []
@@ -144,10 +149,15 @@ def preflight(config: ExperimentConfig) -> list:
         for v in cfg.sweep.values:
             use(cfg.params.with_(**{cfg.sweep.parameter: v}), flow=True)
     else:
-        if cfg.mode == "com_compare" and (cfg.params.potential != HARMONIC
-                                          or cfg.params.frame != LAB):
-            raise RunFailure("com_compare needs lab-frame harmonic-trap dynamics")
         _evolve_options(cfg)
+        if cfg.mode == "com_compare":
+            if cfg.params.potential != HARMONIC or cfg.params.frame != LAB:
+                raise RunFailure("com_compare needs lab-frame harmonic-trap "
+                                 "dynamics")
+            try:
+                step_count(cfg.lda.tau, _lda_t_end(cfg))
+            except ValueError as exc:
+                raise RunFailure(f"[lda] {exc}") from None
         use(cfg.params, flow=False)
         if cfg.initial.kind in ("ground_state", "shifted_ground_state"):
             use(cfg.params, flow=True)
@@ -336,7 +346,7 @@ class _Run:
         inputs = ComClosedFormInputs.from_state(psi0, cfg.params)
         xc_closed = xc_closed_form(inputs, times)
 
-        t_end = cfg.lda.t_end if cfg.lda.t_end is not None else cfg.evolve.t_end
+        t_end = _lda_t_end(cfg)
         lda_thm = lda_ode_solve(
             lda_initial_from_imbalance(obs0.xc[0], obs0.delta_n, cfg.params),
             cfg.params, cfg.lda.tau, t_end,
@@ -379,16 +389,7 @@ def run(config: ExperimentConfig, out_dir=None, threads: int = 1) -> int:
     try:
         for w in preflight(config):
             r.warn(w)
-        if config.mode == "ground_state":
-            r.run_ground_state()
-        elif config.mode == "dynamics":
-            r.run_dynamics()
-        elif config.mode == "limit_study":
-            r.run_limit_study()
-        elif config.mode == "com_compare":
-            r.run_com_compare()
-        else:
-            raise RunFailure(f"unknown mode {config.mode!r}")
+        getattr(r, f"run_{config.mode}")()
     except (RunFailure, ValueError, FloatingPointError, OSError) as exc:
         r.write_manifest("failed")
         failed.write_text(str(exc) + "\n", encoding="utf-8")

@@ -7,6 +7,11 @@ import numpy as np
 from .grid import Grid
 from .model import BOX, HARMONIC, Params, Spinor
 
+# named (1/sqrt 2)(g, +-g) starts: g is the potential's base profile or the
+# sine profile; "plane_wave:<k>" adds the e^{+-ikx} spin-orbit phases
+INIT_SPECS = ("gaussian_pair", "gaussian_opposite", "sine_pair", "sine_opposite")
+PLANE_WAVE = "plane_wave:"
+
 
 def gaussian_profile(grid: Grid, center=None, widths=None) -> np.ndarray:
     """Unit-norm product Gaussian; width defaults to 1 on every axis."""
@@ -75,8 +80,7 @@ def build_initial_state(init, grid: Grid, params: Params) -> Spinor:
     """Resolve a GfdnOptions.init spec to a normalized Spinor.
 
     Accepts a Spinor (user supplied), a ("plane_wave", k) tuple, a
-    "plane_wave:<k>" string, or one of "gaussian_pair", "gaussian_opposite",
-    "sine_pair", "sine_opposite".
+    "plane_wave:<k>" string, or one of INIT_SPECS.
     """
     if isinstance(init, Spinor):
         if init.grid != grid:
@@ -84,15 +88,11 @@ def build_initial_state(init, grid: Grid, params: Params) -> Spinor:
         return init.normalized()
     if isinstance(init, tuple) and len(init) == 2 and init[0] == "plane_wave":
         return plane_wave_pair(grid, base_profile(grid, params), float(init[1]))
-    if isinstance(init, str) and init.startswith("plane_wave:"):
+    if isinstance(init, str) and init.startswith(PLANE_WAVE):
         return plane_wave_pair(grid, base_profile(grid, params),
-                               float(init.split(":", 1)[1]))
-    if init == "gaussian_pair":
-        return pair_state(grid, base_profile(grid, params), +1.0)
-    if init == "gaussian_opposite":
-        return pair_state(grid, base_profile(grid, params), -1.0)
-    if init == "sine_pair":
-        return pair_state(grid, sine_profile(grid), +1.0)
-    if init == "sine_opposite":
-        return pair_state(grid, sine_profile(grid), -1.0)
+                               float(init[len(PLANE_WAVE):]))
+    if init in INIT_SPECS:
+        profile = (sine_profile(grid) if init.startswith("sine")
+                   else base_profile(grid, params))
+        return pair_state(grid, profile, -1.0 if init.endswith("opposite") else 1.0)
     raise ValueError(f"unknown initial-state spec {init!r}")

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -260,12 +262,21 @@ BOX_ON_FOURIER = GS_CONFIG.replace("beta22 = 1", "beta22 = 1\npotential = box")
 
 T_END_NOT_MULTIPLE = DYN_CONFIG.replace("t_end = 0.05", "t_end = 0.0505")
 
+LDA_T_END_NOT_MULTIPLE = DYN_CONFIG.replace(
+    "mode = dynamics", "mode = com_compare") + "[lda]\ntau = 0.03\nt_end = 0.1\n"
+
+RATE_SWEEP_ZERO_K0 = GS_CONFIG.replace("mode = ground_state", "mode = limit_study") \
+    + "[sweep]\nkind = rate_small_k0\nvalues = 0, 0.1, 0.2\n"
+
 
 @pytest.mark.parametrize("text, needle", [
     (HARMONIC_ON_SINE, "Fourier grid"),
     (BOX_ON_FOURIER, "sine-basis"),
     (T_END_NOT_MULTIPLE, "multiple of tau"),
-], ids=["harmonic_on_sine", "box_on_fourier", "t_end_not_multiple"])
+    (LDA_T_END_NOT_MULTIPLE, "multiple of tau"),
+    (RATE_SWEEP_ZERO_K0, "positive k0"),
+], ids=["harmonic_on_sine", "box_on_fourier", "t_end_not_multiple",
+        "lda_t_end_not_multiple", "rate_sweep_zero_k0"])
 def test_validate_and_run_reject_alike(tmp_path, capsys, text, needle):
     cfg = write(tmp_path, "bad.cfg", text)
     assert main(["validate", cfg]) == 1
@@ -299,3 +310,11 @@ max_iters = 2
     assert "under-resolved" in (out / "FAILED").read_text()
     manifest = (out / "run_manifest.txt").read_text()
     assert manifest.count("warning under-resolved") == 1
+
+
+@pytest.mark.parametrize(
+    "path", sorted((Path(__file__).parent.parent / "configs").glob("*.cfg")),
+    ids=lambda p: p.stem)
+def test_shipped_configs_validate(path, capsys):
+    assert main(["validate", str(path)]) == 0
+    assert "ok" in capsys.readouterr().out

@@ -1,6 +1,6 @@
 import pytest
 
-from socbec import ConfigError, parse_config
+from socbec import ConfigError, GfdnOptions, parse_config
 
 MINIMAL = """
 [run]
@@ -155,3 +155,23 @@ def test_unknown_init_rejected():
         parse_config(MINIMAL + "[gfdn]\ninit = wiggle\n")
     cfg = parse_config(MINIMAL + "[gfdn]\ninit = plane_wave:1.5\n")
     assert cfg.gfdn.init == "plane_wave:1.5"
+
+
+@pytest.mark.parametrize("width", ["0", "-1"])
+def test_nonpositive_initial_width_reports_line(width):
+    text = MINIMAL.replace("ground_state", "dynamics") + (
+        f"[evolve]\nt_end = 0.1\n[initial]\nwidth = {width}\n"
+    )
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert "width" in str(err.value)
+    assert err.value.line == text.splitlines().index(f"width = {width}") + 1
+
+
+@pytest.mark.parametrize("key, value", [("max_iters", 0), ("max_iters", -3),
+                                        ("record_every", -1)])
+def test_gfdn_iteration_counts_checked(key, value):
+    with pytest.raises(ValueError, match=key):
+        GfdnOptions(**{key: value})
+    with pytest.raises(ConfigError, match=key):
+        parse_config(MINIMAL + f"[gfdn]\n{key} = {value}\n")

@@ -318,6 +318,14 @@ def test_limit_study_rate_needs_three_points():
         limit_study("rate_small_k0", Params(omega=-2.0), g, [0.1, 0.2])
 
 
+@pytest.mark.parametrize("kind", ["rate_small_k0", "rate_large_k0"])
+def test_limit_study_rate_needs_positive_k0(kind):
+    # the fits take log(k0) and 1/sqrt(k0)
+    g = grid_1d(64)
+    with pytest.raises(ValueError, match="positive k0"):
+        limit_study(kind, Params(omega=-2.0), g, [0.0, 0.1, 0.2])
+
+
 def test_limit_study_unknown_kind():
     g = grid_1d(64)
     with pytest.raises(ValueError):
