@@ -19,6 +19,7 @@ invalid axis or parameter set, or non-finite numbers.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,6 +52,23 @@ class Checkpoint:
     iteration: int
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Replace `path` with `data` through a temp file in the same directory.
+
+    A write that fails partway leaves the previous file intact and removes
+    the temp file; readers never see a half-written artifact.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(path, spinor: Spinor, params: Params,
                     time: float = 0.0, iteration: int = 0) -> None:
     g = spinor.grid
@@ -66,7 +84,7 @@ def save_checkpoint(path, spinor: Spinor, params: Params,
     ))
     parts.append(struct.pack("<dQ", time, iteration))
     parts.append(np.ascontiguousarray(spinor.psi, dtype="<c16").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    write_atomic(path, b"".join(parts))
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -60,6 +60,8 @@ class EvolveOptions:
         step_count(self.tau, self.t_end)
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
+        if self.snapshot_every < 0:
+            raise ValueError("snapshot_every must be >= 0")
 
     @property
     def steps(self) -> int:

@@ -425,6 +425,9 @@ def check_study(kind: str, params: Params, values):
         raise ValueError(f"unknown limit study kind {kind!r}")
     if not values:
         raise ValueError("empty sweep")
+    if len(set(values)) != len(values):
+        # repeats would rerun one solve and overwrite its state file
+        raise ValueError("repeated sweep values")
     if kind in _RATE_KINDS and len(values) < 3:
         raise ValueError(f"{kind} needs at least 3 sweep values for a fit")
     if kind in ("rate_small_k0", "rate_large_k0") and min(values) <= 0:

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .com import (
     ComClosedFormInputs,
     LdaState,
@@ -88,7 +88,7 @@ def _write_csv(path: Path, header, rows):
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 class RunFailure(RuntimeError):
@@ -206,9 +206,8 @@ class _Run:
             lines += ["[results]"] + self.notes + [""]
         lines += ["[artifacts]"] + sorted(set(self.artifacts)) + [""]
         lines += ["[config]"] + cfg.text.splitlines()
-        (self.out / "run_manifest.txt").write_text(
-            "\n".join(lines) + "\n", encoding="utf-8"
-        )
+        write_atomic(self.out / "run_manifest.txt",
+                     ("\n".join(lines) + "\n").encode("utf-8"))
 
     # ---- initial states ------------------------------------------------
 
@@ -392,7 +391,7 @@ def run(config: ExperimentConfig, out_dir=None, threads: int = 1) -> int:
         getattr(r, f"run_{config.mode}")()
     except (RunFailure, ValueError, FloatingPointError, OSError) as exc:
         r.write_manifest("failed")
-        failed.write_text(str(exc) + "\n", encoding="utf-8")
+        write_atomic(failed, (str(exc) + "\n").encode("utf-8"))
         return EXIT_SOLVER
     r.write_manifest("ok")
     return EXIT_OK

@@ -17,6 +17,7 @@ slope is 1.
 import time
 
 import numpy as np
+import pytest
 from scipy.linalg import expm
 
 from socbec import (
@@ -212,6 +213,7 @@ def test_criterion_06_mass_split_at_zero_raman():
     report(6, ok, f"omega=0 mass split over 1000 steps: drift={drift:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_07_large_k0_raman_removal():
     t0 = time.perf_counter()
     g = box_grid_2d(64)
@@ -230,6 +232,7 @@ def test_criterion_07_large_k0_raman_removal():
            f"t={elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_08_large_omega_symmetrization():
     t0 = time.perf_counter()
     g = box_grid_2d(64)

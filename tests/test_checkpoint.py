@@ -1,3 +1,4 @@
+import errno
 import struct
 
 import numpy as np
@@ -14,6 +15,7 @@ from socbec import (
     make_grid,
     save_checkpoint,
 )
+from socbec import checkpoint
 
 
 def sample_state(seed=0):
@@ -74,6 +76,38 @@ def test_trailing_garbage_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00" * 16)
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+class _DiskFullAfterHalf:
+    """File wrapper whose write stores half the bytes, then fails."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.f.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch):
+    phi, p = sample_state()
+    path = tmp_path / "state.socb"
+    save_checkpoint(path, phi, p)
+    before = path.read_bytes()
+    monkeypatch.setattr(checkpoint, "open",
+                        lambda *a, **k: _DiskFullAfterHalf(open(*a, **k)),
+                        raising=False)
+    other, _ = sample_state(seed=1)
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(path, other, p, time=1.0)
+    assert path.read_bytes() == before
+    assert [q.name for q in tmp_path.iterdir()] == ["state.socb"]
 
 
 def test_grid_compare_after_load(tmp_path):

@@ -268,6 +268,12 @@ LDA_T_END_NOT_MULTIPLE = DYN_CONFIG.replace(
 RATE_SWEEP_ZERO_K0 = GS_CONFIG.replace("mode = ground_state", "mode = limit_study") \
     + "[sweep]\nkind = rate_small_k0\nvalues = 0, 0.1, 0.2\n"
 
+RATE_SWEEP_REPEATED = GS_CONFIG.replace("mode = ground_state", "mode = limit_study") \
+    + "[sweep]\nkind = rate_small_k0\nvalues = 0.1, 0.1, 0.1\n"
+
+NEGATIVE_SNAPSHOT_EVERY = DYN_CONFIG.replace("snapshot_every = 25",
+                                             "snapshot_every = -3")
+
 
 @pytest.mark.parametrize("text, needle", [
     (HARMONIC_ON_SINE, "Fourier grid"),
@@ -275,8 +281,11 @@ RATE_SWEEP_ZERO_K0 = GS_CONFIG.replace("mode = ground_state", "mode = limit_stud
     (T_END_NOT_MULTIPLE, "multiple of tau"),
     (LDA_T_END_NOT_MULTIPLE, "multiple of tau"),
     (RATE_SWEEP_ZERO_K0, "positive k0"),
+    (RATE_SWEEP_REPEATED, "repeated sweep values"),
+    (NEGATIVE_SNAPSHOT_EVERY, "snapshot_every"),
 ], ids=["harmonic_on_sine", "box_on_fourier", "t_end_not_multiple",
-        "lda_t_end_not_multiple", "rate_sweep_zero_k0"])
+        "lda_t_end_not_multiple", "rate_sweep_zero_k0", "rate_sweep_repeated",
+        "negative_snapshot_every"])
 def test_validate_and_run_reject_alike(tmp_path, capsys, text, needle):
     cfg = write(tmp_path, "bad.cfg", text)
     assert main(["validate", cfg]) == 1

@@ -26,6 +26,7 @@ from socbec import (
     potential_field,
     tsfp_step,
 )
+from socbec.grid import DENSE_SINE_MAX_N
 from socbec.ground_state import _Flow
 from socbec.model import discretization
 
@@ -216,6 +217,29 @@ def test_stacked_parseval(spec, seed):
     physical = g.cell_volume * np.sum(np.abs(a) ** 2)
     spectral = g.mode_weight * np.sum(np.abs(g.to_modes(a)) ** 2)
     assert spectral == pytest.approx(physical, rel=1e-12)
+
+
+sine_sizes = st.lists(
+    st.sampled_from([4, 9, DENSE_SINE_MAX_N, DENSE_SINE_MAX_N + 1, 130]),
+    min_size=1, max_size=3,
+).filter(lambda ns: np.prod([n - 1 for n in ns]) <= 40_000)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sine_sizes, st.sampled_from([(), (2,), (3, 2)]),
+       st.integers(0, 2**32 - 1))
+def test_all_sine_transforms_match_scipy_on_both_sides_of_dense_limit(
+        sizes, batch, seed):
+    g = make_grid([Axis(-1.0, 1.0 + i, n, "sine") for i, n in enumerate(sizes)])
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=batch + g.shape) + 1j * rng.normal(size=batch + g.shape)
+    axes = tuple(range(len(batch), a.ndim))
+    ref = sfft.dstn(a, type=1, axes=axes)
+    modes = g.to_modes(a)
+    assert np.abs(modes - ref).max() <= 1e-13 * np.abs(ref).max()
+    inv_ref = sfft.idstn(ref, type=1, axes=axes)
+    assert np.abs(g.from_modes(ref) - inv_ref).max() <= 1e-13 * np.abs(a).max()
+    np.testing.assert_allclose(g.from_modes(modes), a, rtol=0, atol=1e-12)
 
 
 # ---- the cached object --------------------------------------------------------

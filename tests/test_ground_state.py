@@ -278,6 +278,19 @@ def test_multi_start_threads_deterministic():
     assert np.array_equal(a.phi.psi1, b.phi.psi1)
 
 
+def test_multi_start_threads_deterministic_on_box():
+    # the 2D box transforms are BLAS matrix products run inside the pool
+    g = make_grid([Axis(-1.0, 1.0, 64, "sine"), Axis(-1.0, 1.0, 64, "sine")])
+    p = Params(k0=10.0, omega=50.0, beta11=10.0, beta12=9.0, beta22=9.0,
+               potential="box", frame="tilde")
+    starts = ["sine_pair", "sine_opposite"]
+    opts = GfdnOptions(max_iters=200)
+    a = multi_start(p, g, opts, starts=starts, threads=1)
+    b = multi_start(p, g, opts, starts=starts, threads=2)
+    assert a.energy == b.energy
+    assert np.array_equal(a.phi.psi, b.phi.psi)
+
+
 def test_multi_start_needs_starts():
     g = grid_1d(64)
     with pytest.raises(ValueError):
