@@ -21,11 +21,20 @@ rotation solves i dt psi1 = (omega/2) e^{-2ik0x} psi2 (and conjugate) exactly:
                                                       [e^{2ik0x}, 0]],
 
 which preserves the pointwise total density.
+
+`evolve` fuses adjacent spectral half-steps ("first same as last"): after
+one leading half-step, each step is inverse transform, pointwise part,
+forward transform and one full spectral step (a `ModePropagator` built at
+2*tau, or the tilde kinetic phases over tau), one transform pair in all.
+Record and snapshot points, the last step and an abort first close the
+pending half-step, so they see the states of a loop of `tsfp_step` or
+`box_step` (the single-step API and the test oracle) to round-off.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -128,12 +137,13 @@ class ModePropagator:
         """Advance stacked spectral coefficients by tau/2 of the linear block.
 
         The table is scale free: `c` comes from `Grid.to_modes` and goes back
-        through `Grid.from_modes`.  Writes into `c` when omega = 0.
+        through `Grid.from_modes`.  Returns a new array and never writes into
+        `c`, on both the coupled and the omega = 0 branch, so a caller may
+        keep `c` and advance it again.
         """
-        if self.m12 is None:
-            c *= self.diag
-            return c
         out = self.diag * c
+        if self.m12 is None:
+            return out
         out += self.m12 * c[::-1]
         return out
 
@@ -240,17 +250,22 @@ def _tilde_kinetic_phases(grid: Grid, params: Params, dt: float) -> np.ndarray:
     return np.exp((-1j * dt) * discretization(grid, params).symbol)
 
 
+def _box_core(a: np.ndarray, rotation: BoxRotation, v1, v2,
+              beta: np.ndarray, tau: float) -> np.ndarray:
+    """Pointwise middle of the box splitting: phase/2, rotation, phase/2."""
+    a = _nonlinear_phase(a, v1, v2, beta, 0.5 * tau)
+    a = rotation.rotate(a)
+    return _nonlinear_phase(a, v1, v2, beta, 0.5 * tau)
+
+
 def _tilde_strang_step(psi: Spinor, params: Params, tau: float,
                        rotation: BoxRotation, kin_phases, v1, v2) -> Spinor:
     """kinetic/2, phase/2, rotation, phase/2, kinetic/2 on any basis."""
     g = psi.grid
-    beta = params.beta_matrix()
     c = g.to_modes(psi.psi)
     c *= kin_phases
     a = g.from_modes(c, overwrite=True)
-    a = _nonlinear_phase(a, v1, v2, beta, 0.5 * tau)
-    a = rotation.rotate(a)
-    a = _nonlinear_phase(a, v1, v2, beta, 0.5 * tau)
+    a = _box_core(a, rotation, v1, v2, params.beta_matrix(), tau)
     c = g.to_modes(a, overwrite=True)
     c *= kin_phases
     return Spinor.from_stacked(g, g.from_modes(c, overwrite=True))
@@ -299,30 +314,49 @@ class TrajectorySeries:
         return np.stack([r.momentum for r in self.records])
 
 
+def _splitting(grid: Grid, params: Params, tau: float):
+    """(half, full, core) maps of one Strang step for the fused loop.
+
+    A step is from_modes(half(to_modes(core(from_modes(half(c)))))): `half`
+    and `full` advance stacked spectral coefficients by half a step and by a
+    whole step of the spectral block and return new arrays; `core` is the
+    pointwise part, applied in place to physical samples.
+    """
+    d = discretization(grid, params)
+    d.check_dynamics()
+    v1, v2 = d.v
+    if params.frame == LAB:
+        half = build_mode_propagators(grid, params, tau)
+        full = build_mode_propagators(grid, params, 2.0 * tau)
+
+        def core(a):
+            return _nonlinear_phase(a, v1, v2, d.beta, tau)
+        return half.apply, full.apply, core
+    rotation = build_box_rotation(grid, params, tau)
+    kin_half = _tilde_kinetic_phases(grid, params, 0.5 * tau)
+    kin_full = _tilde_kinetic_phases(grid, params, tau)
+
+    def core(a):
+        return _box_core(a, rotation, v1, v2, d.beta, tau)
+    return (partial(np.multiply, kin_half), partial(np.multiply, kin_full),
+            core)
+
+
 def evolve(psi0: Spinor, params: Params, options: EvolveOptions,
            observer=None) -> TrajectorySeries:
     """Step from t=0 to t_end, recording observables every record_every steps.
 
     The stepper is picked from the frame/basis: lab frame on a Fourier grid
-    uses TSFP; tilde frame on a sine grid uses the box splitting.  Non-finite
+    uses TSFP; tilde frame on a sine grid uses the box splitting.  Adjacent
+    spectral half-steps are fused (see the module docstring).  Non-finite
     values abort the run; the series keeps the records up to the last good
     state and is flagged `aborted`.
     """
     g = psi0.grid
-    disc = discretization(g, params)
-    disc.check_dynamics()
-    if params.frame == LAB:
-        prop = build_mode_propagators(g, params, options.tau)
+    half, full, core = _splitting(g, params, options.tau)
 
-        def stepper(s):
-            return tsfp_step(s, params, prop, options.tau)
-    else:
-        rot = build_box_rotation(g, params, options.tau)
-        kin = _tilde_kinetic_phases(g, params, 0.5 * options.tau)
-
-        def stepper(s):
-            return _tilde_strang_step(s, params, options.tau, rot, kin,
-                                      disc.v[0], disc.v[1])
+    def close(m):
+        return Spinor.from_stacked(g, g.from_modes(half(m), overwrite=True))
 
     times = [0.0]
     records = [observables(psi0, params)]
@@ -333,25 +367,36 @@ def evolve(psi0: Spinor, params: Params, options: EvolveOptions,
         observer(0.0, psi0, records[0])
 
     last_good = psi0
+    # modes of the last good step, trailing half-step not applied; the last
+    # step always closes, so only an abort between closing points finds it
+    pending = None
     aborted = False
     n_steps = options.steps
+    c = half(g.to_modes(psi0.psi))
     for step in range(1, n_steps + 1):
-        psi = stepper(last_good)
-        t = step * options.tau
-        if not np.isfinite(np.vdot(psi.psi, psi.psi)):
+        m = g.to_modes(core(g.from_modes(c, overwrite=True)), overwrite=True)
+        if not np.isfinite(np.vdot(m, m)):
             aborted = True
             break
-        last_good = psi
+        t = step * options.tau
         record_now = step % options.record_every == 0 or step == n_steps
+        snapshot_now = options.snapshot_every and (
+            step % options.snapshot_every == 0 or step == n_steps)
+        if record_now or snapshot_now:
+            last_good, pending = close(m), None
+        else:
+            pending = m
         if record_now:
-            rec = observables(psi, params)
+            rec = observables(last_good, params)
             times.append(t)
             records.append(rec)
             if observer is not None:
-                observer(t, psi, rec)
-        if options.snapshot_every and (step % options.snapshot_every == 0
-                                       or step == n_steps):
-            snapshots.append((t, psi.copy()))
+                observer(t, last_good, rec)
+        if snapshot_now:
+            snapshots.append((t, last_good.copy()))
+        c = full(m)
+    if pending is not None:
+        last_good = close(pending)
 
     return TrajectorySeries(
         times=np.array(times), records=records, snapshots=snapshots,

@@ -14,8 +14,10 @@ from socbec import (
     evolve,
     gauge_transform,
     make_grid,
+    observables,
     tsfp_step,
 )
+from socbec import dynamics
 from socbec.dynamics import _tilde_kinetic_phases, _tilde_strang_step
 from socbec.model import potential_field
 
@@ -93,6 +95,22 @@ def test_propagator_omega_zero_diagonal_branch():
         exact = expm(-0.5j * tau * mode_symbol(mu, p.k0, p.delta, 0.0))
         assert abs(prop.m11[idx] - exact[0, 0]) <= 1e-13
         assert abs(prop.m22[idx] - exact[1, 1]) <= 1e-13
+
+
+@pytest.mark.parametrize("omega", [0.0, 2.0])
+def test_propagator_apply_never_writes_its_input(omega):
+    g = fourier_1d(16)
+    p = Params(k0=1.2, delta=0.6, omega=omega)
+    rng = np.random.default_rng(5)
+    c = rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16))
+    before = c.copy()
+    half = build_mode_propagators(g, p, 0.03)
+    out = half.apply(c)
+    assert np.array_equal(c, before)
+    assert not np.shares_memory(out, c)
+    # two half-step tables compose into the table built at twice the step
+    full = build_mode_propagators(g, p, 0.06)
+    assert np.abs(half.apply(out) - full.apply(c)).max() <= 1e-14
 
 
 def test_propagator_validation():
@@ -452,3 +470,135 @@ def test_evolve_observer_callback():
            observer=lambda t, psi, obs: seen.append((t, obs.mass)))
     assert [t for t, _ in seen] == [0.0, 0.005, 0.01]
     assert all(abs(m - 1.0) <= 1e-12 for _, m in seen)
+
+
+# ---- fused evolve against single steps ----------------------------------------
+
+def _lab_1d_case(omega):
+    g = fourier_1d(64, -8.0, 8.0)
+    x = g.coordinate(0)
+    psi0 = Spinor(g, np.exp(-((x - 1.0) ** 2) / 2.0),
+                  0.5 * np.exp(-((x + 0.5) ** 2) / 2.0)).normalized()
+    return psi0, Params(k0=1.5, omega=omega, delta=0.7, beta11=3.0,
+                        beta12=2.0, beta22=1.0)
+
+
+def _lab_2d_case():
+    g = make_grid([Axis(-8.0, 8.0, 32), Axis(-8.0, 8.0, 32)])
+    x, y = g.coordinate(0), g.coordinate(1)
+    psi0 = Spinor(g, np.exp(-((x - 0.5) ** 2 + (y - 1.0) ** 2) / 2.0),
+                  0.3 * np.exp(-(x ** 2 + y ** 2) / 2.0)).normalized()
+    return psi0, Params(k0=1.0, omega=3.0, delta=0.2, beta11=2.0, beta12=1.0,
+                        beta22=2.0, gamma_x=1.5, gamma_y=1.0)
+
+
+def _box_2d_case():
+    g = make_grid([Axis(-1.0, 1.0, 24, "sine"), Axis(-1.0, 1.0, 24, "sine")])
+    x, y = g.coordinate(0), g.coordinate(1)
+
+    def mode(kx, ky):
+        return np.sin(0.5 * np.pi * kx * (x + 1.0)) * \
+            np.sin(0.5 * np.pi * ky * (y + 1.0))
+
+    psi0 = Spinor(g, mode(1, 1) + 0.3j * mode(2, 1),
+                  0.6 * mode(1, 2)).normalized()
+    return psi0, Params(k0=2.0, omega=4.0, delta=0.3, beta11=5.0, beta12=4.0,
+                        beta22=5.0, potential="box", frame="tilde")
+
+
+FUSED_CASES = {
+    "lab_1d": lambda: _lab_1d_case(2.0),
+    "lab_1d_omega0": lambda: _lab_1d_case(0.0),
+    "lab_2d": _lab_2d_case,
+    "box_2d": _box_2d_case,
+}
+
+
+def stepped_states(psi0, p, tau, n):
+    """States after 0..n `tsfp_step`/`box_step` calls: the evolve oracle."""
+    if p.frame == "lab":
+        prop = build_mode_propagators(psi0.grid, p, tau)
+
+        def step(s):
+            return tsfp_step(s, p, prop, tau)
+    else:
+        rot = build_box_rotation(psi0.grid, p, tau)
+
+        def step(s):
+            return box_step(s, p, tau, rotation=rot)
+    out = [psi0]
+    for _ in range(n):
+        out.append(step(out[-1]))
+    return out
+
+
+def assert_records_close(got, want, tol=1e-12):
+    for name in vars(want):
+        diff = np.abs(np.asarray(getattr(got, name)) -
+                      np.asarray(getattr(want, name))).max()
+        assert diff <= tol, (name, diff)
+
+
+def assert_states_close(got, want, tol=1e-12):
+    assert np.abs(got.psi - want.psi).max() <= tol
+
+
+@pytest.mark.parametrize("snapshot_every", [0, 3])
+@pytest.mark.parametrize("record_every", [1, 7, 15])
+@pytest.mark.parametrize("case", sorted(FUSED_CASES))
+def test_fused_evolve_matches_single_steps(case, record_every, snapshot_every):
+    psi0, p = FUSED_CASES[case]()
+    tau, n = 5e-3, 15
+    ref = stepped_states(psi0, p, tau, n)
+    seen = []
+    series = evolve(psi0, p, EvolveOptions(tau=tau, t_end=n * tau,
+                                           record_every=record_every,
+                                           snapshot_every=snapshot_every),
+                    observer=lambda t, psi, rec: seen.append((t, psi.copy(),
+                                                              rec)))
+    recorded = [0] + [k for k in range(1, n + 1)
+                      if k % record_every == 0 or k == n]
+    assert list(series.times) == [k * tau for k in recorded]
+    assert [t for t, _, _ in seen] == list(series.times)
+    for k, (_, psi, rec), kept in zip(recorded, seen, series.records):
+        assert kept is rec
+        assert_states_close(psi, ref[k])
+        assert_records_close(rec, observables(ref[k], p))
+    snapped = [0] + [k for k in range(1, n + 1)
+                     if k % snapshot_every == 0 or k == n] \
+        if snapshot_every else []
+    assert [t for t, _ in series.snapshots] == [k * tau for k in snapped]
+    for k, (_, psi) in zip(snapped, series.snapshots):
+        assert_states_close(psi, ref[k])
+    assert not series.aborted
+    assert_states_close(series.final_state, ref[n])
+
+
+@pytest.mark.parametrize("bad_step", [1, 5, 6])
+@pytest.mark.parametrize("case,phases_per_step", [("lab_1d", 1),
+                                                  ("box_2d", 2)])
+def test_evolve_abort_keeps_last_good_state(monkeypatch, case,
+                                            phases_per_step, bad_step):
+    psi0, p = FUSED_CASES[case]()
+    tau = 5e-3
+    ref = stepped_states(psi0, p, tau, bad_step - 1)
+    exact_phase = dynamics._nonlinear_phase
+    calls = []
+
+    def poisoned(psi, *args):
+        # a NaN from the first pointwise phase of step `bad_step`
+        calls.append(None)
+        out = exact_phase(psi, *args)
+        if len(calls) == phases_per_step * (bad_step - 1) + 1:
+            out[0].flat[0] = np.nan
+        return out
+
+    monkeypatch.setattr(dynamics, "_nonlinear_phase", poisoned)
+    series = evolve(psi0, p, EvolveOptions(tau=tau, t_end=10 * tau,
+                                           record_every=2))
+    assert series.aborted
+    kept = list(range(0, bad_step, 2))
+    assert list(series.times) == [k * tau for k in kept]
+    for k, rec in zip(kept, series.records):
+        assert_records_close(rec, observables(ref[k], p))
+    assert_states_close(series.final_state, ref[bad_step - 1])
