@@ -188,8 +188,7 @@ _SCHEMA = {
         "potential": _choice(HARMONIC, BOX, FREE),
         "frame": _choice(LAB, TILDE),
     },
-    "gfdn": {"tau": _float, "tol": _float, "max_iters": _int, "init": _init,
-             "stabilization_shift": _float, "record_every": _int},
+    "gfdn": {"tau": _float, "tol": _float, "max_iters": _int, "init": _init},
     "evolve": {"tau": _positive, "t_end": _float, "record_every": _int,
                "snapshot_every": _int},
     "initial": {"kind": _choice(*INITIAL_KINDS),

@@ -197,7 +197,9 @@ class BoxRotation:
 
     r12/r21 carry the -i sin(omega*tau/2) e^{-+2ik0x} off-diagonal factors
     (the rows of the stacked `off` table); the per-node mixing matrix is
-    unitary, so |psi1|^2 + |psi2|^2 is preserved at every node.
+    unitary, so |psi1|^2 + |psi2|^2 is preserved at every node.  kin_half
+    holds the kinetic/detuning phases over tau/2 that flank the rotation in
+    a box step; key is (k0, omega, delta), the params both tables read.
     """
 
     grid: Grid
@@ -208,6 +210,7 @@ class BoxRotation:
     r21: np.ndarray
     phase: np.ndarray = field(repr=False, default=None)
     off: np.ndarray = field(repr=False, default=None)
+    kin_half: np.ndarray = field(repr=False, default=None)
 
     def rotate(self, psi: np.ndarray) -> np.ndarray:
         """Rotated copy of a stacked (2, *shape) spinor array."""
@@ -235,9 +238,10 @@ def build_box_rotation(grid: Grid, params: Params, tau: float) -> BoxRotation:
     half = 0.5 * params.omega * tau
     off = -1j * np.sin(half) * np.stack((phase, np.conj(phase)))
     return BoxRotation(
-        grid=grid, tau=float(tau), key=(params.k0, params.omega),
+        grid=grid, tau=float(tau), key=(params.k0, params.omega, params.delta),
         cos_half=float(np.cos(half)), r12=off[0], r21=off[1],
         phase=phase, off=off,
+        kin_half=_tilde_kinetic_phases(grid, params, 0.5 * tau),
     )
 
 
@@ -282,10 +286,10 @@ def box_step(psi: Spinor, params: Params, tau: float,
     if rotation is None:
         rotation = build_box_rotation(g, params, tau)
     elif rotation.grid != g or rotation.tau != tau or \
-            rotation.key != (params.k0, params.omega):
+            rotation.key != (params.k0, params.omega, params.delta):
         raise ValueError("rotation cache does not match this step")
-    kin = _tilde_kinetic_phases(g, params, 0.5 * tau)
-    return _tilde_strang_step(psi, params, tau, rotation, kin, d.v[0], d.v[1])
+    return _tilde_strang_step(psi, params, tau, rotation, rotation.kin_half,
+                              d.v[0], d.v[1])
 
 
 @dataclass
@@ -333,13 +337,12 @@ def _splitting(grid: Grid, params: Params, tau: float):
             return _nonlinear_phase(a, v1, v2, d.beta, tau)
         return half.apply, full.apply, core
     rotation = build_box_rotation(grid, params, tau)
-    kin_half = _tilde_kinetic_phases(grid, params, 0.5 * tau)
     kin_full = _tilde_kinetic_phases(grid, params, tau)
 
     def core(a):
         return _box_core(a, rotation, v1, v2, d.beta, tau)
-    return (partial(np.multiply, kin_half), partial(np.multiply, kin_full),
-            core)
+    return (partial(np.multiply, rotation.kin_half),
+            partial(np.multiply, kin_full), core)
 
 
 def evolve(psi0: Spinor, params: Params, options: EvolveOptions,

@@ -50,19 +50,15 @@ class GfdnOptions:
     """Gradient-flow controls.
 
     init accepts the specs understood by `states.build_initial_state`, or
-    "auto" (multi-start over the default pair/opposite initial data).
-    stabilization_shift of None selects the running estimate
-    0.5*max(V + beta*density); a positivity guard keeping the backward-Euler
-    denominators positive is always applied on top (constant shifts cancel at
-    the fixed point, so neither changes the converged state).
+    "auto" (multi-start over `default_starts`).  The stabilization and
+    chemical-potential shifts are not options: `_Flow.refresh` derives them
+    from the running iterate.
     """
 
     tau: float = 0.01
     tol: float = 1e-7
     max_iters: int = 500_000
     init: object = "gaussian_pair"
-    stabilization_shift: float | None = None
-    record_every: int = 0
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -71,10 +67,6 @@ class GfdnOptions:
             raise ValueError("tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.record_every < 0:
-            raise ValueError("record_every must be >= 0")
-        if self.stabilization_shift is not None and self.stabilization_shift < 0:
-            raise ValueError("stabilization shift must be >= 0")
 
 
 @dataclass
@@ -87,7 +79,6 @@ class GroundStateResult:
     frame: str
     converged: bool
     warnings: list = field(default_factory=list)
-    history: dict = field(default_factory=dict)
 
 
 def lab_view(result: GroundStateResult, params: Params):
@@ -110,7 +101,14 @@ class _Flow:
 
     The flow works on stacked (2, *shape) arrays.  `Grid.to_modes` and
     `Grid.from_modes` are an exact inverse pair, so the denominators need no
-    transform scale factor.
+    transform scale factor.  `refresh` is the one shift policy: the
+    stabilization shift alpha is the running estimate 0.5*max(V + beta*rho),
+    refreshed every SHIFT_UPDATE_EVERY iterations; the chemical-potential
+    shift mu_hat = E + quartic is refreshed every MU_UPDATE_EVERY; a
+    positivity guard keeps every backward-Euler denominator >= 1.  Constant
+    shifts cancel at the fixed point, so none of this changes the converged
+    state.  Each refresh also records the largest energy rise between
+    refreshes in `energy_rise`.
     """
 
     def __init__(self, disc: Discretization, tau: float):
@@ -121,6 +119,9 @@ class _Flow:
         self.tau_coupling = tau * disc.coupling
         self.inv_den = None
         self.lin = None
+        self.alpha = None
+        self.energy = np.inf  # no refresh yet
+        self.energy_rise = 0.0
 
     def guard_floor(self, mu_hat: float) -> float:
         # keeps every backward-Euler denominator >= 1
@@ -130,9 +131,19 @@ class _Flow:
             floor += 0.5 * p.k0**2
         return floor
 
-    def auto_alpha(self, psi: np.ndarray) -> float:
+    def refresh(self, psi: np.ndarray, it: int = 0):
+        """Shift refresh after iteration `it` (0: set-up on the start state)."""
+        if it % MU_UPDATE_EVERY:
+            return
         d = self.disc
-        return 0.5 * float((d.v + d.mean_field(abs2(psi))).max())
+        rho = abs2(psi)
+        e, quartic = d.energy_parts(psi, rho, abs2(d.grid.to_modes(psi)))
+        self.energy_rise = max(self.energy_rise, e - self.energy)
+        self.energy = e
+        mu_hat = e + quartic
+        if it % SHIFT_UPDATE_EVERY == 0:
+            self.alpha = 0.5 * float((d.v + d.mean_field(rho)).max())
+        self.set_shifts(max(self.alpha, self.guard_floor(mu_hat)), mu_hat)
 
     def set_shifts(self, alpha: float, mu_hat: float):
         tau = self.tau
@@ -165,11 +176,7 @@ def gfdn_step(phi: Spinor, params: Params, options: GfdnOptions) -> Spinor:
     and chemical-potential shifts are computed from `phi` itself.
     """
     flow = _Flow(discretization(phi.grid, params), options.tau)
-    alpha_base = (options.stabilization_shift
-                  if options.stabilization_shift is not None
-                  else flow.auto_alpha(phi.psi))
-    mu_hat = chemical_potential(phi, params)
-    flow.set_shifts(max(alpha_base, flow.guard_floor(mu_hat)), mu_hat)
+    flow.refresh(phi.psi)
     return Spinor.from_stacked(phi.grid, flow.step(phi.psi))
 
 
@@ -184,14 +191,8 @@ def _solve(params: Params, grid: Grid, options: GfdnOptions,
     else:
         phi = phi0.normalized()
 
-    mu_hat = chemical_potential(phi, params)
-    alpha_base = (options.stabilization_shift
-                  if options.stabilization_shift is not None
-                  else flow.auto_alpha(phi.psi))
-    flow.set_shifts(max(alpha_base, flow.guard_floor(mu_hat)), mu_hat)
-
-    history_iters, history_energy, history_residual = [], [], []
     psi = phi.psi
+    flow.refresh(psi)
     residual = np.inf
     converged = False
     iterations = 0
@@ -203,21 +204,7 @@ def _solve(params: Params, grid: Grid, options: GfdnOptions,
             psi = new
             iterations = it
             residual = diff
-            refresh_mu = it % MU_UPDATE_EVERY == 0
-            refresh_alpha = (options.stabilization_shift is None
-                             and it % SHIFT_UPDATE_EVERY == 0)
-            if refresh_mu or refresh_alpha:
-                if refresh_mu:
-                    mu_hat = chemical_potential(Spinor.from_stacked(grid, psi),
-                                                params)
-                if refresh_alpha:
-                    alpha_base = flow.auto_alpha(psi)
-                flow.set_shifts(max(alpha_base, flow.guard_floor(mu_hat)), mu_hat)
-            if options.record_every and it % options.record_every == 0:
-                history_iters.append(it)
-                history_energy.append(energy(Spinor.from_stacked(grid, psi),
-                                             params))
-                history_residual.append(diff)
+            flow.refresh(psi, it)
             if diff < options.tol:
                 converged = True
                 break
@@ -230,13 +217,11 @@ def _solve(params: Params, grid: Grid, options: GfdnOptions,
             f"gradient flow did not reach tol={options.tol:g} within "
             f"{iterations} iterations (residual {residual:.3e})"
         )
-    if history_energy:
-        increases = np.diff(history_energy)
-        if np.any(increases > 1e-10):
-            warnings.append(
-                "energy increased along recorded iterates by up to "
-                f"{increases.max():.3e}; tau may be too large"
-            )
+    if flow.energy_rise > 1e-10:
+        warnings.append(
+            "energy increased between shift refreshes by up to "
+            f"{flow.energy_rise:.3e}; tau may be too large"
+        )
     if params.omega == 0.0:
         _, distinct = uniqueness_indicator(params, grid)
         if not distinct:
@@ -248,17 +233,9 @@ def _solve(params: Params, grid: Grid, options: GfdnOptions,
 
     e = energy(phi, params)
     mu = chemical_potential(phi, params)
-    history = {}
-    if history_iters:
-        history = {
-            "iterations": np.array(history_iters),
-            "energy": np.array(history_energy),
-            "residual": np.array(history_residual),
-        }
     return GroundStateResult(
         phi=phi, energy=e, mu=mu, iterations=iterations, residual=residual,
         frame=params.frame, converged=converged, warnings=warnings,
-        history=history,
     )
 
 
@@ -295,13 +272,24 @@ def _dispatch(params: Params, grid: Grid, options: GfdnOptions,
     return gfdn_solve(params, grid, options, phi0)
 
 
-def default_starts(params: Params):
-    """Pair/opposite initial data ordered by the sgn(-omega) sign preference."""
+def default_starts(params: Params, grid: Grid, singles: bool = False):
+    """Pair/opposite initial data ordered by the sgn(-omega) sign preference.
+
+    The single-component seeds follow at omega = 0 or when `singles` is set:
+    once the drive between the components degenerates, the mass split
+    relaxes only algebraically from a mixed start.
+    """
     if params.omega == 0.0:
-        return ["gaussian_pair"]
-    if params.omega < 0.0:
-        return ["gaussian_pair", "gaussian_opposite"]
-    return ["gaussian_opposite", "gaussian_pair"]
+        starts = ["gaussian_pair"]
+    elif params.omega < 0.0:
+        starts = ["gaussian_pair", "gaussian_opposite"]
+    else:
+        starts = ["gaussian_opposite", "gaussian_pair"]
+    if singles or params.omega == 0.0:
+        profile = base_profile(grid, params)
+        starts += [single_component(grid, profile, 2),
+                   single_component(grid, profile, 1)]
+    return starts
 
 
 def multi_start(params: Params, grid: Grid, options: GfdnOptions | None = None,
@@ -315,7 +303,7 @@ def multi_start(params: Params, grid: Grid, options: GfdnOptions | None = None,
     """
     options = options or GfdnOptions()
     if starts is None:
-        starts = default_starts(params)
+        starts = default_starts(params, grid)
     if not starts:
         raise ValueError("multi_start needs at least one initial state")
     if threads > 1 and len(starts) > 1:
@@ -341,20 +329,10 @@ def multi_start(params: Params, grid: Grid, options: GfdnOptions | None = None,
 def solve_ground_state(params: Params, grid: Grid,
                        options: GfdnOptions | None = None,
                        threads: int = 1) -> GroundStateResult:
-    """Dispatcher used by the CLI: multi-start when init='auto', else single.
-
-    At omega = 0 the auto starts include single-component seeds: the mass
-    split between decoupled components relaxes only algebraically from a
-    mixed start when the component energies degenerate.
-    """
+    """Dispatcher used by the CLI: multi-start when init='auto', else single."""
     options = options or GfdnOptions()
     if options.init == "auto":
-        starts = default_starts(params)
-        if params.omega == 0.0:
-            profile = base_profile(grid, params)
-            starts = starts + [single_component(grid, profile, 2),
-                               single_component(grid, profile, 1)]
-        return multi_start(params, grid, options, starts, threads=threads)
+        return multi_start(params, grid, options, threads=threads)
     return _dispatch(params, grid, options)
 
 
@@ -463,31 +441,22 @@ def limit_study(kind: str, params: Params, grid: Grid, values,
     results = []
     slope = intercept = fitted_c0 = None
 
-    def singles(p):
-        profile = base_profile(grid, p)
-        return [single_component(grid, profile, 2),
-                single_component(grid, profile, 1)]
-
-    def best(p, extra_singles=False, phi0=None):
-        # warm start first, then the sign-preference pair starts; the
-        # single-component seeds matter when a component drains (the mass
-        # split relaxes only algebraically once the drive degenerates)
-        starts = ([phi0] if phi0 is not None else []) + default_starts(p)
-        if extra_singles or p.omega == 0.0:
-            starts = starts + singles(p)
+    def best(p, singles=False, phi0=None):
+        starts = ([phi0] if phi0 is not None else []) + default_starts(
+            p, grid, singles)
         return multi_start(p, grid, options, starts, threads=threads)
 
-    def sweep(param_name, extra_singles=False):
+    def sweep(param_name, singles=False):
         prev = None
         for v in values:
             p = params.with_(**{param_name: v})
-            res = best(p, extra_singles=extra_singles, phi0=prev)
+            res = best(p, singles=singles, phi0=prev)
             results.append(res)
             prev = res.phi
         return [params.with_(**{param_name: v}) for v in values]
 
     if kind == "large_k0":
-        swept = sweep("k0", extra_singles=True)
+        swept = sweep("k0", singles=True)
         ref = best(params.with_(k0=values[0], omega=0.0))
         diagnostics["raman_coupling_abs"] = [
             abs(p.omega * _tilde_overlap(r.phi, p))

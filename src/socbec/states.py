@@ -79,15 +79,13 @@ def single_component(grid: Grid, profile: np.ndarray, component: int = 1) -> Spi
 def build_initial_state(init, grid: Grid, params: Params) -> Spinor:
     """Resolve a GfdnOptions.init spec to a normalized Spinor.
 
-    Accepts a Spinor (user supplied), a ("plane_wave", k) tuple, a
-    "plane_wave:<k>" string, or one of INIT_SPECS.
+    Accepts a Spinor (user supplied), a "plane_wave:<k>" string, or one of
+    INIT_SPECS.
     """
     if isinstance(init, Spinor):
         if init.grid != grid:
             raise ValueError("user-supplied initial state is on a different grid")
         return init.normalized()
-    if isinstance(init, tuple) and len(init) == 2 and init[0] == "plane_wave":
-        return plane_wave_pair(grid, base_profile(grid, params), float(init[1]))
     if isinstance(init, str) and init.startswith(PLANE_WAVE):
         return plane_wave_pair(grid, base_profile(grid, params),
                                float(init[len(PLANE_WAVE):]))

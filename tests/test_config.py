@@ -1,6 +1,9 @@
+from dataclasses import fields
+
 import pytest
 
-from socbec import ConfigError, GfdnOptions, parse_config
+from socbec import ConfigError, GfdnOptions, Params, parse_config
+from socbec.config import _SCHEMA, EvolveSpec, InitialSpec, LdaSpec, SweepSpec
 
 MINIMAL = """
 [run]
@@ -168,10 +171,31 @@ def test_nonpositive_initial_width_reports_line(width):
     assert err.value.line == text.splitlines().index(f"width = {width}") + 1
 
 
-@pytest.mark.parametrize("key, value", [("max_iters", 0), ("max_iters", -3),
-                                        ("record_every", -1)])
+@pytest.mark.parametrize("key, value", [("max_iters", 0), ("max_iters", -3)])
 def test_gfdn_iteration_counts_checked(key, value):
     with pytest.raises(ValueError, match=key):
         GfdnOptions(**{key: value})
     with pytest.raises(ConfigError, match=key):
         parse_config(MINIMAL + f"[gfdn]\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize("key", ["stabilization_shift", "record_every"])
+def test_removed_gfdn_keys_rejected(key):
+    # the flow's shifts are derived from the iterate and its energy check is
+    # always on, so neither is a setting
+    text = MINIMAL + f"[gfdn]\ntau = 0.01\n{key} = 1\n"
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'") as err:
+        parse_config(text)
+    assert err.value.line == text.splitlines().index(f"{key} = 1") + 1
+
+
+@pytest.mark.parametrize("section, cls", [
+    ("params", Params), ("gfdn", GfdnOptions), ("evolve", EvolveSpec),
+    ("initial", InitialSpec), ("lda", LdaSpec), ("sweep", SweepSpec),
+], ids=lambda v: getattr(v, "__name__", v))
+def test_section_keys_are_dataclass_fields(section, cls):
+    # a field deleted with its key left behind would reach the dataclass as
+    # an unexpected keyword (TypeError) instead of a ConfigError; the sweep's
+    # parameter is derived from its kind
+    names = {f.name for f in fields(cls)} - {"parameter"}
+    assert set(_SCHEMA[section]) == names

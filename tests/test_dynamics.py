@@ -312,6 +312,18 @@ def test_box_step_guards():
         box_step(psi, p, 2e-2, rotation=rot)
 
 
+def test_box_step_rejects_rotation_for_other_delta():
+    # the cached kinetic half-step phases carry +-delta/2
+    g = sine_1d()
+    psi = bandlimited_box_state(g)
+    p = Params(k0=1.0, omega=2.0, delta=0.5, potential="box", frame="tilde")
+    with pytest.raises(ValueError, match="rotation cache"):
+        box_step(psi, p, 1e-2, rotation=build_box_rotation(
+            g, p.with_(delta=0.0), 1e-2))
+    cached = box_step(psi, p, 1e-2, rotation=build_box_rotation(g, p, 1e-2))
+    assert np.array_equal(cached.psi, box_step(psi, p, 1e-2).psi)
+
+
 def _tilde_rhs_dense(grid, p, v1, v2):
     n = grid.axes[0].n
     mu = grid.wavenumbers[0]

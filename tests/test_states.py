@@ -51,12 +51,14 @@ def test_named_pair_states(name, sign):
     np.testing.assert_allclose(phi.psi2, sign * phi.psi1, atol=1e-14)
 
 
-def test_plane_wave_state_string_and_tuple():
+def test_plane_wave_state_string():
     g = make_grid([Axis(-16.0, 16.0, 64)])
     p = Params()
     a = build_initial_state("plane_wave:1.5", g, p)
-    b = build_initial_state(("plane_wave", 1.5), g, p)
-    np.testing.assert_allclose(a.psi1, b.psi1, atol=1e-15)
+    np.testing.assert_allclose(np.abs(a.psi1), np.abs(a.psi2), atol=1e-15)
+    # the string is the only spelling
+    with pytest.raises(ValueError):
+        build_initial_state(("plane_wave", 1.5), g, p)
     # opposite carrier phases on the two components
     x = g.coordinate(0)
     ratio = a.psi2 * np.exp(2j * 1.5 * x) / a.psi1
