@@ -28,7 +28,8 @@ forward transform and one full spectral step (a `ModePropagator` built at
 2*tau, or the tilde kinetic phases over tau), one transform pair in all.
 Record and snapshot points, the last step and an abort first close the
 pending half-step, so they see the states of a loop of `tsfp_step` or
-`box_step` (the single-step API and the test oracle) to round-off.
+`box_step` (the single-step API and the test oracle, each one
+`_strang_step` over the pieces the fused loop uses) to round-off.
 """
 
 from __future__ import annotations
@@ -171,6 +172,14 @@ def _nonlinear_phase(psi: np.ndarray, v1, v2, beta: np.ndarray,
     return psi
 
 
+def _strang_step(psi: Spinor, half, core) -> Spinor:
+    """One unfused Strang step: spectral `half`, pointwise `core`, `half`."""
+    g = psi.grid
+    a = core(g.from_modes(half(g.to_modes(psi.psi)), overwrite=True))
+    a = g.from_modes(half(g.to_modes(a, overwrite=True)), overwrite=True)
+    return Spinor.from_stacked(g, a)
+
+
 def tsfp_step(psi: Spinor, params: Params, propagators: ModePropagator,
               tau: float) -> Spinor:
     """One Strang step: spectral half, full nonlinear phase, spectral half."""
@@ -182,21 +191,16 @@ def tsfp_step(psi: Spinor, params: Params, propagators: ModePropagator,
         )
     if propagators.key != (params.k0, params.omega, params.delta):
         raise ValueError("propagator table was built for different params")
-    g = psi.grid
-    d = discretization(g, params)
-    a = g.from_modes(propagators.apply(g.to_modes(psi.psi)), overwrite=True)
-    a = _nonlinear_phase(a, d.v[0], d.v[1], d.beta, tau)
-    a = g.from_modes(propagators.apply(g.to_modes(a, overwrite=True)),
-                     overwrite=True)
-    return Spinor.from_stacked(g, a)
+    d = discretization(psi.grid, params)
+    return _strang_step(psi, propagators.apply, _core(d, tau))
 
 
 @dataclass
 class BoxRotation:
     """Exact Raman rotation cache for the tilde-frame splitting.
 
-    r12/r21 carry the -i sin(omega*tau/2) e^{-+2ik0x} off-diagonal factors
-    (the rows of the stacked `off` table); the per-node mixing matrix is
+    The rows of the stacked `off` table carry the -i sin(omega*tau/2)
+    e^{-+2ik0x} off-diagonal factors; the per-node mixing matrix is
     unitary, so |psi1|^2 + |psi2|^2 is preserved at every node.  kin_half
     holds the kinetic/detuning phases over tau/2 that flank the rotation in
     a box step; key is (k0, omega, delta), the params both tables read.
@@ -206,8 +210,6 @@ class BoxRotation:
     tau: float
     key: tuple
     cos_half: float
-    r12: np.ndarray
-    r21: np.ndarray
     phase: np.ndarray = field(repr=False, default=None)
     off: np.ndarray = field(repr=False, default=None)
     kin_half: np.ndarray = field(repr=False, default=None)
@@ -239,8 +241,7 @@ def build_box_rotation(grid: Grid, params: Params, tau: float) -> BoxRotation:
     off = -1j * np.sin(half) * np.stack((phase, np.conj(phase)))
     return BoxRotation(
         grid=grid, tau=float(tau), key=(params.k0, params.omega, params.delta),
-        cos_half=float(np.cos(half)), r12=off[0], r21=off[1],
-        phase=phase, off=off,
+        cos_half=float(np.cos(half)), phase=phase, off=off,
         kin_half=_tilde_kinetic_phases(grid, params, 0.5 * tau),
     )
 
@@ -262,17 +263,12 @@ def _box_core(a: np.ndarray, rotation: BoxRotation, v1, v2,
     return _nonlinear_phase(a, v1, v2, beta, 0.5 * tau)
 
 
-def _tilde_strang_step(psi: Spinor, params: Params, tau: float,
-                       rotation: BoxRotation, kin_phases, v1, v2) -> Spinor:
-    """kinetic/2, phase/2, rotation, phase/2, kinetic/2 on any basis."""
-    g = psi.grid
-    c = g.to_modes(psi.psi)
-    c *= kin_phases
-    a = g.from_modes(c, overwrite=True)
-    a = _box_core(a, rotation, v1, v2, params.beta_matrix(), tau)
-    c = g.to_modes(a, overwrite=True)
-    c *= kin_phases
-    return Spinor.from_stacked(g, g.from_modes(c, overwrite=True))
+def _core(d, tau: float, rotation=None):
+    """Pointwise part of a TSFP step, or of a box step given `rotation`."""
+    v1, v2 = d.v
+    if rotation is None:
+        return lambda a: _nonlinear_phase(a, v1, v2, d.beta, tau)
+    return lambda a: _box_core(a, rotation, v1, v2, d.beta, tau)
 
 
 def box_step(psi: Spinor, params: Params, tau: float,
@@ -288,8 +284,8 @@ def box_step(psi: Spinor, params: Params, tau: float,
     elif rotation.grid != g or rotation.tau != tau or \
             rotation.key != (params.k0, params.omega, params.delta):
         raise ValueError("rotation cache does not match this step")
-    return _tilde_strang_step(psi, params, tau, rotation, rotation.kin_half,
-                              d.v[0], d.v[1])
+    return _strang_step(psi, partial(np.multiply, rotation.kin_half),
+                        _core(d, tau, rotation))
 
 
 @dataclass
@@ -328,21 +324,14 @@ def _splitting(grid: Grid, params: Params, tau: float):
     """
     d = discretization(grid, params)
     d.check_dynamics()
-    v1, v2 = d.v
     if params.frame == LAB:
         half = build_mode_propagators(grid, params, tau)
         full = build_mode_propagators(grid, params, 2.0 * tau)
-
-        def core(a):
-            return _nonlinear_phase(a, v1, v2, d.beta, tau)
-        return half.apply, full.apply, core
+        return half.apply, full.apply, _core(d, tau)
     rotation = build_box_rotation(grid, params, tau)
     kin_full = _tilde_kinetic_phases(grid, params, tau)
-
-    def core(a):
-        return _box_core(a, rotation, v1, v2, d.beta, tau)
     return (partial(np.multiply, rotation.kin_half),
-            partial(np.multiply, kin_full), core)
+            partial(np.multiply, kin_full), _core(d, tau, rotation))
 
 
 def evolve(psi0: Spinor, params: Params, options: EvolveOptions,

@@ -15,6 +15,12 @@ on Fourier grids (harmonic or free potentials), and `besp_solve` runs the
 gauge-transformed flow on sine (Dirichlet) grids for box potentials, where
 the spin-orbit derivative is traded for explicit e^{+-2ik0 x} factors on the
 Raman coupling.
+
+Every solve takes one path: `solve_ground_state` -> `multi_start` ->
+`gfdn_solve` or `besp_solve` (picked by `params.frame`) -> `_solve`.
+`GfdnOptions.init` is the only way to pass a start, a `Spinor` included.
+Only `solve_ground_state` reads init = "auto" (multi-start over
+`default_starts`); the solvers reject it.
 """
 
 from __future__ import annotations
@@ -31,9 +37,7 @@ from .model import (
     Params,
     Spinor,
     abs2,
-    chemical_potential,
     discretization,
-    energy,
     gauge_transform,
     raman_overlap,
     uniqueness_indicator,
@@ -49,8 +53,8 @@ SHIFT_UPDATE_EVERY = 50  # iterations between automatic stabilization refreshes
 class GfdnOptions:
     """Gradient-flow controls.
 
-    init accepts the specs understood by `states.build_initial_state`, or
-    "auto" (multi-start over `default_starts`).  The stabilization and
+    init takes any spec of `states.build_initial_state` (a `Spinor`
+    included) or "auto" (see the module docstring).  The stabilization and
     chemical-potential shifts are not options: `_Flow.refresh` derives them
     from the running iterate.
     """
@@ -76,24 +80,16 @@ class GroundStateResult:
     mu: float
     iterations: int
     residual: float
-    frame: str
     converged: bool
     warnings: list = field(default_factory=list)
 
 
 def lab_view(result: GroundStateResult, params: Params):
     """Lab-frame companion of a tilde-frame result: (spinor, lab energy)."""
-    if result.frame == LAB:
+    if params.frame == LAB:
         return result.phi, result.energy
     phi_lab = gauge_transform(result.phi, params, "to_lab")
     return phi_lab, result.energy - 0.5 * params.k0**2
-
-
-def effective_tau(options: GfdnOptions, params: Params) -> float:
-    """Default tau, tightened for strong Raman coupling."""
-    if abs(params.omega) >= 100.0 and options.tau > LARGE_OMEGA_TAU:
-        return LARGE_OMEGA_TAU
-    return options.tau
 
 
 class _Flow:
@@ -108,11 +104,14 @@ class _Flow:
     positivity guard keeps every backward-Euler denominator >= 1.  Constant
     shifts cancel at the fixed point, so none of this changes the converged
     state.  Each refresh also records the largest energy rise between
-    refreshes in `energy_rise`.
+    refreshes in `energy_rise`.  Strong Raman coupling (|omega| >= 100)
+    caps tau at LARGE_OMEGA_TAU.
     """
 
     def __init__(self, disc: Discretization, tau: float):
         disc.check_flow()
+        if abs(disc.params.omega) >= 100.0:
+            tau = min(tau, LARGE_OMEGA_TAU)
         self.disc = disc
         self.tau = tau
         self.tau_beta = tau * disc.beta
@@ -180,18 +179,11 @@ def gfdn_step(phi: Spinor, params: Params, options: GfdnOptions) -> Spinor:
     return Spinor.from_stacked(phi.grid, flow.step(phi.psi))
 
 
-def _solve(params: Params, grid: Grid, options: GfdnOptions,
-           phi0: Spinor | None = None) -> GroundStateResult:
-    tau = effective_tau(options, params)
+def _solve(params: Params, grid: Grid, options: GfdnOptions) -> GroundStateResult:
     disc = discretization(grid, params)
-    flow = _Flow(disc, tau)
-    if phi0 is None:
-        init = options.init if options.init != "auto" else "gaussian_pair"
-        phi = build_initial_state(init, grid, params)
-    else:
-        phi = phi0.normalized()
-
-    psi = phi.psi
+    flow = _Flow(disc, options.tau)
+    tau = flow.tau
+    psi = build_initial_state(options.init, grid, params).psi
     flow.refresh(psi)
     residual = np.inf
     converged = False
@@ -231,16 +223,15 @@ def _solve(params: Params, grid: Grid, options: GfdnOptions,
                 "scalar profile has equal energy)"
             )
 
-    e = energy(phi, params)
-    mu = chemical_potential(phi, params)
+    e, quartic = disc.energy_parts(psi, abs2(psi), abs2(grid.to_modes(psi)))
     return GroundStateResult(
-        phi=phi, energy=e, mu=mu, iterations=iterations, residual=residual,
-        frame=params.frame, converged=converged, warnings=warnings,
+        phi=phi, energy=e, mu=e + quartic, iterations=iterations,
+        residual=residual, converged=converged, warnings=warnings,
     )
 
 
-def gfdn_solve(params: Params, grid: Grid, options: GfdnOptions | None = None,
-               phi0: Spinor | None = None) -> GroundStateResult:
+def gfdn_solve(params: Params, grid: Grid,
+               options: GfdnOptions | None = None) -> GroundStateResult:
     """Lab-frame ground state on a Fourier grid (harmonic/free potentials).
 
     Box potentials are rejected unless k0 = 0, where the lab and tilde frames
@@ -249,11 +240,11 @@ def gfdn_solve(params: Params, grid: Grid, options: GfdnOptions | None = None,
     options = options or GfdnOptions()
     if params.frame != LAB:
         raise ValueError("gfdn_solve runs the lab-frame flow; got tilde params")
-    return _solve(params, grid, options, phi0)
+    return _solve(params, grid, options)
 
 
-def besp_solve(params: Params, grid: Grid, options: GfdnOptions | None = None,
-               phi0: Spinor | None = None) -> GroundStateResult:
+def besp_solve(params: Params, grid: Grid,
+               options: GfdnOptions | None = None) -> GroundStateResult:
     """Tilde-frame ground state on a sine (Dirichlet) grid for box potentials.
 
     The result is reported in the tilde frame; `lab_view` supplies the
@@ -262,14 +253,7 @@ def besp_solve(params: Params, grid: Grid, options: GfdnOptions | None = None,
     options = options or GfdnOptions()
     if params.frame != TILDE:
         raise ValueError("besp_solve requires tilde-frame params")
-    return _solve(params, grid, options, phi0)
-
-
-def _dispatch(params: Params, grid: Grid, options: GfdnOptions,
-              phi0: Spinor | None = None) -> GroundStateResult:
-    if params.frame == TILDE:
-        return besp_solve(params, grid, options, phi0)
-    return gfdn_solve(params, grid, options, phi0)
+    return _solve(params, grid, options)
 
 
 def default_starts(params: Params, grid: Grid, singles: bool = False):
@@ -306,17 +290,18 @@ def multi_start(params: Params, grid: Grid, options: GfdnOptions | None = None,
         starts = default_starts(params, grid)
     if not starts:
         raise ValueError("multi_start needs at least one initial state")
+    solve = besp_solve if params.frame == TILDE else gfdn_solve
+
+    def run(init):
+        return solve(params, grid, replace(options, init=init))
+
     if threads > 1 and len(starts) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            runs = list(pool.map(
-                lambda init: _dispatch(params, grid, replace(options, init=init)),
-                starts,
-            ))
+            runs = list(pool.map(run, starts))
     else:
-        runs = [_dispatch(params, grid, replace(options, init=init))
-                for init in starts]
+        runs = [run(init) for init in starts]
     best = runs[0]
     for res in runs[1:]:
         if (res.converged, -res.energy) > (best.converged, -best.energy):
@@ -329,11 +314,10 @@ def multi_start(params: Params, grid: Grid, options: GfdnOptions | None = None,
 def solve_ground_state(params: Params, grid: Grid,
                        options: GfdnOptions | None = None,
                        threads: int = 1) -> GroundStateResult:
-    """Dispatcher used by the CLI: multi-start when init='auto', else single."""
+    """CLI driver: `multi_start` over [init], or `default_starts` if "auto"."""
     options = options or GfdnOptions()
-    if options.init == "auto":
-        return multi_start(params, grid, options, threads=threads)
-    return _dispatch(params, grid, options)
+    starts = None if options.init == "auto" else [options.init]
+    return multi_start(params, grid, options, starts, threads=threads)
 
 
 @dataclass
@@ -382,7 +366,7 @@ def _symmetrized_reference(params: Params, grid: Grid,
     single = params.with_(k0=0.0, omega=0.0, delta=0.0,
                           beta11=beta_eff, beta12=0.0, beta22=0.0)
     init = single_component(grid, base_profile(grid, single), 1)
-    res = _solve(single, grid, options, phi0=init)
+    res = multi_start(single, grid, options, [init])
     return np.abs(res.phi.psi1) / np.sqrt(2.0)
 
 
@@ -441,8 +425,8 @@ def limit_study(kind: str, params: Params, grid: Grid, values,
     results = []
     slope = intercept = fitted_c0 = None
 
-    def best(p, singles=False, phi0=None):
-        starts = ([phi0] if phi0 is not None else []) + default_starts(
+    def best(p, singles=False, warm=None):
+        starts = ([warm] if warm is not None else []) + default_starts(
             p, grid, singles)
         return multi_start(p, grid, options, starts, threads=threads)
 
@@ -450,7 +434,7 @@ def limit_study(kind: str, params: Params, grid: Grid, values,
         prev = None
         for v in values:
             p = params.with_(**{param_name: v})
-            res = best(p, singles=singles, phi0=prev)
+            res = best(p, singles=singles, warm=prev)
             results.append(res)
             prev = res.phi
         return [params.with_(**{param_name: v}) for v in values]

@@ -38,7 +38,6 @@ from .config import ExperimentConfig
 from .dynamics import EvolveOptions, evolve, step_count
 from .grid import FOURIER
 from .ground_state import (
-    GroundStateResult,
     check_study,
     lab_view,
     limit_study,
@@ -218,16 +217,6 @@ class _Run:
             np.roll(phi.psi, shifts, axis=tuple(range(1, phi.grid.dim + 1))),
         )
 
-    def _ground_state(self) -> GroundStateResult:
-        cfg = self.config
-        res = solve_ground_state(cfg.params, cfg.grid, cfg.gfdn,
-                                 threads=self.threads)
-        if not res.converged:
-            raise RunFailure(
-                "ground-state solve did not converge: " + "; ".join(res.warnings)
-            )
-        return res
-
     def _initial_state(self) -> Spinor:
         cfg = self.config
         spec = cfg.initial
@@ -247,10 +236,13 @@ class _Run:
                 direction = "to_tilde" if cfg.params.frame == TILDE else "to_lab"
                 phi = gauge_transform(phi, cfg.params, direction)
             return phi
-        res = self._ground_state()
+        res = solve_ground_state(cfg.params, cfg.grid, cfg.gfdn,
+                                 threads=self.threads)
+        if not res.converged:
+            raise RunFailure(
+                "ground-state solve did not converge: " + "; ".join(res.warnings)
+            )
         phi = res.phi
-        if cfg.params.frame == LAB and res.frame == TILDE:
-            phi = gauge_transform(phi, cfg.params, "to_lab")
         if spec.kind == "shifted_ground_state":
             offset = spec.offset or (0.0,) * cfg.grid.dim
             phi = self._shift_state(phi, offset)
@@ -268,7 +260,7 @@ class _Run:
         _write_csv(self.path("observables.csv"), header, rows)
         save_checkpoint(self.path("ground_state.socb"), res.phi, cfg.params,
                         iteration=res.iterations)
-        if res.frame == TILDE:
+        if cfg.params.frame == TILDE:
             phi_lab, e_lab = lab_view(res, cfg.params)
             save_checkpoint(self.path("ground_state_lab.socb"), phi_lab,
                             cfg.params.with_(frame=LAB),

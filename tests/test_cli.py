@@ -327,3 +327,120 @@ max_iters = 2
 def test_shipped_configs_validate(path, capsys):
     assert main(["validate", str(path)]) == 0
     assert "ok" in capsys.readouterr().out
+
+
+# ---- checkpoint starts, limit-study fits and failure paths ---------------------
+
+BOX_GS_CONFIG = """
+[run]
+mode = ground_state
+[grid]
+x = -1, 1, 32, sine
+[params]
+potential = box
+k0 = 3
+omega = 20
+beta11 = 10
+beta12 = 9
+beta22 = 9
+[gfdn]
+init = sine_opposite
+"""
+
+
+def _rows(path):
+    lines = path.read_text().splitlines()
+    return [[float(v) for v in line.split(",")] for line in lines[1:]]
+
+
+def test_dynamics_from_lab_checkpoint_starts_at_ground_state(tmp_path):
+    # the lab companion is gauge-transformed back into the tilde frame
+    cfg = write(tmp_path, "gs.cfg", BOX_GS_CONFIG)
+    assert main(["run", cfg, "--out", str(tmp_path / "gs")]) == 0
+    dyn = BOX_GS_CONFIG.replace("mode = ground_state", "mode = dynamics") + """
+[evolve]
+tau = 1e-4
+t_end = 1e-3
+[initial]
+kind = checkpoint
+path = gs/ground_state_lab.socb
+"""
+    cfg = write(tmp_path, "dyn.cfg", dyn)
+    out = tmp_path / "dyn"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    gs_row = _rows(tmp_path / "gs" / "observables.csv")[0]
+    t0_row = _rows(out / "observables.csv")[0]
+    assert t0_row[0] == 0.0
+    np.testing.assert_allclose(t0_row[1:], gs_row[1:], rtol=0, atol=1e-12)
+
+
+STUDY_CONFIG = """
+[run]
+mode = limit_study
+[grid]
+x = -16, 16, 64, fourier
+[params]
+{params}
+beta11 = 1
+beta12 = 0.5
+beta22 = 1
+[sweep]
+kind = {kind}
+values = {values}
+"""
+
+
+@pytest.mark.parametrize("params, kind, values, fits", [
+    ("omega = -2", "rate_small_k0", "0.025, 0.05, 0.1",
+     ("fit_slope", "fit_intercept")),
+    ("k0 = 2\nomega = 0.5", "energy_competition", "0.5, 1, 1.5",
+     ("fitted_c0",)),
+], ids=["rate_small_k0", "energy_competition"])
+def test_limit_study_fits_reach_manifest(tmp_path, params, kind, values, fits):
+    cfg = write(tmp_path, "study.cfg",
+                STUDY_CONFIG.format(params=params, kind=kind, values=values))
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    results = {}
+    for line in (out / "run_manifest.txt").read_text().splitlines():
+        key, _, value = line.partition(" ")
+        if key in fits:
+            results[key] = float(value)
+    assert set(results) == set(fits)
+    assert all(np.isfinite(v) for v in results.values())
+    assert len(_rows(out / "summary.csv")) == 3
+    if kind == "rate_small_k0":
+        # the modulus distance responds at second order in k0
+        assert results["fit_slope"] == pytest.approx(2.0, abs=0.05)
+
+
+def test_dynamics_run_reports_non_finite_evolution(tmp_path, monkeypatch):
+    from socbec import dynamics
+
+    exact_phase = dynamics._nonlinear_phase
+    calls = []
+
+    def poisoned(psi, *args):
+        calls.append(None)
+        out = exact_phase(psi, *args)
+        if len(calls) == 7:
+            out[0].flat[0] = np.nan
+        return out
+
+    monkeypatch.setattr(dynamics, "_nonlinear_phase", poisoned)
+    cfg = write(tmp_path, "dyn.cfg", DYN_CONFIG)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert "non-finite values" in (out / "FAILED").read_text()
+    assert "status failed" in (out / "run_manifest.txt").read_text()
+    assert np.isfinite(load_checkpoint(out / "final_state.socb").spinor.psi).all()
+
+
+def test_dynamics_from_unconverged_ground_state_fails(tmp_path):
+    cfg = write(tmp_path, "dyn.cfg", DYN_CONFIG.replace(
+        "[initial]\nkind = gaussian\ncenter = 1.0",
+        "[initial]\nkind = ground_state\n[gfdn]\nmax_iters = 1"))
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert "ground-state solve did not converge" in \
+        (out / "FAILED").read_text()

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy import fft as sfft
@@ -18,7 +20,7 @@ from socbec import (
     tsfp_step,
 )
 from socbec import dynamics
-from socbec.dynamics import _tilde_kinetic_phases, _tilde_strang_step
+from socbec.dynamics import _box_core, _strang_step, _tilde_kinetic_phases
 from socbec.model import potential_field
 
 
@@ -427,7 +429,9 @@ def test_lab_and_tilde_frames_agree_on_densities():
     kin = _tilde_kinetic_phases(g, p_t, 0.5 * tau)
     v1, v2 = potential_field(p_t, g)
     for _ in range(steps):
-        tilde = _tilde_strang_step(tilde, p_t, tau, rot, kin, v1, v2)
+        tilde = _strang_step(
+            tilde, partial(np.multiply, kin),
+            lambda a: _box_core(a, rot, v1, v2, p_t.beta_matrix(), tau))
 
     assert np.abs(np.abs(lab.psi1) - np.abs(tilde.psi1)).max() <= 1e-6
     assert np.abs(np.abs(lab.psi2) - np.abs(tilde.psi2)).max() <= 1e-6

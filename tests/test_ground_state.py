@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,9 @@ from socbec import (
     multi_start,
     solve_ground_state,
 )
-from socbec.states import gaussian_profile, single_component
+from socbec import ground_state
+from socbec.ground_state import default_starts
+from socbec.states import build_initial_state, gaussian_profile, single_component
 
 
 def grid_1d(n=128, lo=-16.0, hi=16.0):
@@ -389,3 +393,90 @@ def test_energy_rise_warning(p, opts, rises):
     res = gfdn_solve(p, g, opts)
     assert res.converged != rises
     assert any("energy increased" in w for w in res.warnings) == rises
+
+
+# ---- one path per solve ------------------------------------------------------
+
+def test_gfdn_step_matches_one_solver_iteration_at_large_omega():
+    # |omega| >= 100 caps tau in the flow itself, so the single-step API and
+    # the solver take the same step
+    g = grid_1d(64, -8.0, 8.0)
+    p = Params(k0=1.0, omega=200.0, beta11=10.0, beta12=9.0, beta22=9.0)
+    start = build_initial_state("gaussian_pair", g, p)
+    stepped = gfdn_step(start, p, GfdnOptions(tau=0.01))
+    solved = gfdn_solve(p, g, GfdnOptions(tau=0.01, max_iters=1,
+                                          init="gaussian_pair"))
+    assert np.array_equal(stepped.psi, solved.phi.psi)
+
+
+@pytest.mark.parametrize("solve, p, g", [
+    (gfdn_solve, Params(), grid_1d(64)),
+    (besp_solve, Params(potential="box", frame="tilde"), box_1d(32)),
+])
+def test_solvers_reject_auto_init(solve, p, g):
+    # only solve_ground_state reads "auto"
+    with pytest.raises(ValueError, match="auto"):
+        solve(p, g, GfdnOptions(init="auto"))
+
+
+def test_spinor_start_with_nan_aborts_flow():
+    g = grid_1d(64)
+    start = build_initial_state("gaussian_pair", g, Params())
+    psi = start.psi.copy()
+    psi[0, 10] = np.nan
+    with np.errstate(invalid="ignore"):
+        res = gfdn_solve(Params(), g, GfdnOptions(
+            init=Spinor.from_stacked(g, psi)))
+    assert not res.converged
+    assert res.iterations == 0
+    assert any("non-finite values" in w for w in res.warnings)
+
+
+def test_every_solve_goes_through_the_module_hooks(monkeypatch):
+    # profilers count flow iterations by wrapping gfdn_solve/besp_solve and
+    # mark the end of set-up at the first build_initial_state call; both are
+    # looked up as module attributes at call time
+    solved, built = [], []
+
+    def counting(fn):
+        def call(*args, **kwargs):
+            res = fn(*args, **kwargs)
+            solved.append(res)
+            return res
+        return call
+
+    def build(*args, **kwargs):
+        built.append(None)
+        return build_initial_state(*args, **kwargs)
+
+    for name in ("gfdn_solve", "besp_solve"):
+        monkeypatch.setattr(ground_state, name,
+                            counting(getattr(ground_state, name)))
+    monkeypatch.setattr(ground_state, "build_initial_state", build)
+
+    def check(results, n_solves):
+        assert len(solved) == len(built) == n_solves
+        assert all(any(r is s for s in solved) for r in results)
+        if n_solves == len(results):
+            assert sum(s.iterations for s in solved) == \
+                sum(r.iterations for r in results)
+        solved.clear()
+        built.clear()
+
+    opts = GfdnOptions(max_iters=200)
+    lab = Params(omega=-2.0, beta11=1.0, beta12=0.5, beta22=1.0)
+    box = Params(k0=3.0, omega=20.0, beta11=10.0, beta12=9.0, beta22=9.0,
+                 potential="box", frame="tilde")
+    g, gb = grid_1d(64), box_1d(32)
+    check([solve_ground_state(lab, g, opts)], 1)
+    check([solve_ground_state(box, gb, replace(opts, init="sine_pair"))], 1)
+    check([solve_ground_state(box, gb, replace(opts, init="auto"))],
+          len(default_starts(box, gb)))
+    starts = ["gaussian_pair", "gaussian_opposite"]
+    check([multi_start(lab, g, opts, starts)], 2)
+    study = limit_study("rate_small_k0", lab, g, [0.025, 0.05, 0.1], opts)
+    # first point: 2 default starts; then warm start + 2; reference: 2
+    check(study.results, 2 + 3 + 3 + 2)
+    # the symmetrized reference is one more single-start solve
+    study = limit_study("large_omega", lab, g, [5.0], opts)
+    check(study.results, 2 + 1)
