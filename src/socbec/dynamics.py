@@ -22,14 +22,17 @@ rotation solves i dt psi1 = (omega/2) e^{-2ik0x} psi2 (and conjugate) exactly:
 
 which preserves the pointwise total density.
 
-`evolve` fuses adjacent spectral half-steps ("first same as last"): after
-one leading half-step, each step is inverse transform, pointwise part,
-forward transform and one full spectral step (a `ModePropagator` built at
-2*tau, or the tilde kinetic phases over tau), one transform pair in all.
-Record and snapshot points, the last step and an abort first close the
-pending half-step, so they see the states of a loop of `tsfp_step` or
-`box_step` (the single-step API and the test oracle, each one
-`_strang_step` over the pieces the fused loop uses) to round-off.
+`_splitting(grid, params, tau)` is the one builder of a step's tables: the
+spectral half-step, the full spectral step and the pointwise part.  `evolve`
+fuses adjacent spectral half-steps ("first same as last"): after one leading
+half-step, each step is inverse transform, pointwise part, forward transform
+and one full spectral step (a `ModePropagator` built at 2*tau, or the tilde
+kinetic phases over tau), one transform pair in all.  Record and snapshot
+points, the last step and an abort first close the pending half-step, so
+they see the states of a loop of `tsfp_step(psi, params, tau)` or
+`box_step(psi, params, tau)` to round-off.  Those two are the single-step API
+and the test oracle: each checks its frame and runs one unfused
+`_strang_step` over the `_splitting` tables, rebuilt on every call.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ from functools import partial
 import numpy as np
 
 from .grid import Grid
-from .model import LAB, TILDE, Params, Spinor, abs2, discretization, observables
+from .model import (LAB, TILDE, Discretization, Params, Spinor, abs2,
+                    discretization, observables)
 
 
 def step_count(tau: float, t_end: float) -> int:
@@ -96,9 +100,6 @@ class ModePropagator:
         disc.check_dynamics()
         if tau == 0.0:
             raise ValueError("tau must be nonzero")
-        self.grid = grid
-        self.tau = float(tau)
-        self.key = (params.k0, params.omega, params.delta)
         mu2 = disc.mu2
         chi = params.k0 * disc.mu_x - 0.5 * params.delta
         self.chi = chi
@@ -154,15 +155,14 @@ def build_mode_propagators(grid: Grid, params: Params, tau: float) -> ModePropag
     return ModePropagator(grid, params, tau)
 
 
-def _nonlinear_phase(psi: np.ndarray, v1, v2, beta: np.ndarray,
+def _nonlinear_phase(psi: np.ndarray, d: Discretization,
                      dt: float) -> np.ndarray:
     """Exact trap/nonlinear phase flow over dt of stacked psi, in place.
 
     The densities are invariant under the flow.
     """
-    p = np.tensordot(beta, abs2(psi), 1)
-    p[0] += v1
-    p[1] += v2
+    p = d.mean_field(abs2(psi))
+    p += d.v
     p *= -dt
     # e^{ip} as cos + i sin: the same values as np.exp(1j*p), computed faster
     rot = np.empty(p.shape, dtype=np.complex128)
@@ -180,39 +180,26 @@ def _strang_step(psi: Spinor, half, core) -> Spinor:
     return Spinor.from_stacked(g, a)
 
 
-def tsfp_step(psi: Spinor, params: Params, propagators: ModePropagator,
-              tau: float) -> Spinor:
-    """One Strang step: spectral half, full nonlinear phase, spectral half."""
-    if propagators.grid != psi.grid:
-        raise ValueError("propagator table was built for a different grid")
-    if propagators.tau != tau:
-        raise ValueError(
-            f"propagator table was built for tau={propagators.tau}, got {tau}"
-        )
-    if propagators.key != (params.k0, params.omega, params.delta):
-        raise ValueError("propagator table was built for different params")
-    d = discretization(psi.grid, params)
-    return _strang_step(psi, propagators.apply, _core(d, tau))
+def tsfp_step(psi: Spinor, params: Params, tau: float) -> Spinor:
+    """One lab-frame Strang step: spectral half, nonlinear phase, spectral half."""
+    if params.frame != LAB:
+        raise ValueError("tsfp_step runs in the lab frame")
+    half, _, core = _splitting(psi.grid, params, tau)
+    return _strang_step(psi, half, core)
 
 
 @dataclass
 class BoxRotation:
-    """Exact Raman rotation cache for the tilde-frame splitting.
+    """Exact Raman rotation over one step of the tilde-frame splitting.
 
     The rows of the stacked `off` table carry the -i sin(omega*tau/2)
     e^{-+2ik0x} off-diagonal factors; the per-node mixing matrix is
-    unitary, so |psi1|^2 + |psi2|^2 is preserved at every node.  kin_half
-    holds the kinetic/detuning phases over tau/2 that flank the rotation in
-    a box step; key is (k0, omega, delta), the params both tables read.
+    unitary, so |psi1|^2 + |psi2|^2 is preserved at every node.
     """
 
-    grid: Grid
-    tau: float
-    key: tuple
     cos_half: float
-    phase: np.ndarray = field(repr=False, default=None)
-    off: np.ndarray = field(repr=False, default=None)
-    kin_half: np.ndarray = field(repr=False, default=None)
+    phase: np.ndarray = field(repr=False)
+    off: np.ndarray = field(repr=False)
 
     def rotate(self, psi: np.ndarray) -> np.ndarray:
         """Rotated copy of a stacked (2, *shape) spinor array."""
@@ -220,13 +207,9 @@ class BoxRotation:
         out += self.off * psi[::-1]
         return out
 
-    def apply(self, psi1, psi2):
-        out = self.rotate(np.stack((psi1, psi2)))
-        return out[0], out[1]
-
     def t_matrices(self) -> np.ndarray:
         """Unitary diagonalizer T(x) of the coupling, shape (2,2)+grid.shape."""
-        ones = np.ones(self.grid.shape)
+        ones = np.ones(self.phase.shape)
         p = self.phase  # e^{-2ik0x}
         s = 1.0 / np.sqrt(2.0)
         return np.stack([
@@ -239,11 +222,7 @@ def build_box_rotation(grid: Grid, params: Params, tau: float) -> BoxRotation:
     phase = np.conj(discretization(grid, params).phase)
     half = 0.5 * params.omega * tau
     off = -1j * np.sin(half) * np.stack((phase, np.conj(phase)))
-    return BoxRotation(
-        grid=grid, tau=float(tau), key=(params.k0, params.omega, params.delta),
-        cos_half=float(np.cos(half)), phase=phase, off=off,
-        kin_half=_tilde_kinetic_phases(grid, params, 0.5 * tau),
-    )
+    return BoxRotation(cos_half=float(np.cos(half)), phase=phase, off=off)
 
 
 def _tilde_kinetic_phases(grid: Grid, params: Params, dt: float) -> np.ndarray:
@@ -255,37 +234,20 @@ def _tilde_kinetic_phases(grid: Grid, params: Params, dt: float) -> np.ndarray:
     return np.exp((-1j * dt) * discretization(grid, params).symbol)
 
 
-def _box_core(a: np.ndarray, rotation: BoxRotation, v1, v2,
-              beta: np.ndarray, tau: float) -> np.ndarray:
+def _box_core(a: np.ndarray, rotation: BoxRotation, d: Discretization,
+              tau: float) -> np.ndarray:
     """Pointwise middle of the box splitting: phase/2, rotation, phase/2."""
-    a = _nonlinear_phase(a, v1, v2, beta, 0.5 * tau)
+    a = _nonlinear_phase(a, d, 0.5 * tau)
     a = rotation.rotate(a)
-    return _nonlinear_phase(a, v1, v2, beta, 0.5 * tau)
+    return _nonlinear_phase(a, d, 0.5 * tau)
 
 
-def _core(d, tau: float, rotation=None):
-    """Pointwise part of a TSFP step, or of a box step given `rotation`."""
-    v1, v2 = d.v
-    if rotation is None:
-        return lambda a: _nonlinear_phase(a, v1, v2, d.beta, tau)
-    return lambda a: _box_core(a, rotation, v1, v2, d.beta, tau)
-
-
-def box_step(psi: Spinor, params: Params, tau: float,
-             rotation: BoxRotation | None = None) -> Spinor:
+def box_step(psi: Spinor, params: Params, tau: float) -> Spinor:
     """One tilde-frame Strang step on a sine grid (box truncation)."""
     if params.frame != TILDE:
         raise ValueError("box_step runs in the tilde frame")
-    g = psi.grid
-    d = discretization(g, params)
-    d.check_dynamics()
-    if rotation is None:
-        rotation = build_box_rotation(g, params, tau)
-    elif rotation.grid != g or rotation.tau != tau or \
-            rotation.key != (params.k0, params.omega, params.delta):
-        raise ValueError("rotation cache does not match this step")
-    return _strang_step(psi, partial(np.multiply, rotation.kin_half),
-                        _core(d, tau, rotation))
+    half, _, core = _splitting(psi.grid, params, tau)
+    return _strang_step(psi, half, core)
 
 
 @dataclass
@@ -293,7 +255,8 @@ class TrajectorySeries:
     """Time-indexed observable records plus optional field snapshots.
 
     final_state holds the state at the last completed step (the last good
-    state when the run aborted on non-finite values).
+    state when the run aborted on non-finite values) and final_time its
+    time, which after an abort can lie past the last record.
     """
 
     times: np.ndarray
@@ -301,6 +264,7 @@ class TrajectorySeries:
     snapshots: list = field(default_factory=list)
     aborted: bool = False
     final_state: Spinor | None = None
+    final_time: float = 0.0
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.records])
@@ -315,7 +279,7 @@ class TrajectorySeries:
 
 
 def _splitting(grid: Grid, params: Params, tau: float):
-    """(half, full, core) maps of one Strang step for the fused loop.
+    """(half, full, core) maps of one Strang step, TSFP or box by frame.
 
     A step is from_modes(half(to_modes(core(from_modes(half(c)))))): `half`
     and `full` advance stacked spectral coefficients by half a step and by a
@@ -327,11 +291,11 @@ def _splitting(grid: Grid, params: Params, tau: float):
     if params.frame == LAB:
         half = build_mode_propagators(grid, params, tau)
         full = build_mode_propagators(grid, params, 2.0 * tau)
-        return half.apply, full.apply, _core(d, tau)
+        return half.apply, full.apply, lambda a: _nonlinear_phase(a, d, tau)
     rotation = build_box_rotation(grid, params, tau)
-    kin_full = _tilde_kinetic_phases(grid, params, tau)
-    return (partial(np.multiply, rotation.kin_half),
-            partial(np.multiply, kin_full), _core(d, tau, rotation))
+    return (partial(np.multiply, _tilde_kinetic_phases(grid, params, 0.5 * tau)),
+            partial(np.multiply, _tilde_kinetic_phases(grid, params, tau)),
+            lambda a: _box_core(a, rotation, d, tau))
 
 
 def evolve(psi0: Spinor, params: Params, options: EvolveOptions,
@@ -358,7 +322,7 @@ def evolve(psi0: Spinor, params: Params, options: EvolveOptions,
     if observer is not None:
         observer(0.0, psi0, records[0])
 
-    last_good = psi0
+    last_good, t = psi0, 0.0
     # modes of the last good step, trailing half-step not applied; the last
     # step always closes, so only an abort between closing points finds it
     pending = None
@@ -390,7 +354,8 @@ def evolve(psi0: Spinor, params: Params, options: EvolveOptions,
     if pending is not None:
         last_good = close(pending)
 
+    # t is the time of the last good step: an abort breaks before setting it
     return TrajectorySeries(
         times=np.array(times), records=records, snapshots=snapshots,
-        aborted=aborted, final_state=last_good,
+        aborted=aborted, final_state=last_good, final_time=t,
     )

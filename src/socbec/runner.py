@@ -287,7 +287,7 @@ class _Run:
             name = f"snapshot_{int(round(t / cfg.evolve.tau)):08d}.socb"
             save_checkpoint(self.path(name), snap, cfg.params, time=t)
         save_checkpoint(self.path("final_state.socb"), series.final_state,
-                        cfg.params, time=float(series.times[-1]))
+                        cfg.params, time=series.final_time)
         if series.aborted:
             raise RunFailure(
                 "evolution hit non-finite values; artifacts hold the last "

@@ -27,7 +27,6 @@ from socbec import (
     GfdnOptions,
     Params,
     Spinor,
-    build_box_rotation,
     build_mode_propagators,
     box_step,
     evolve,
@@ -151,10 +150,9 @@ def test_criterion_05_temporal_order():
                   0.4 * np.exp(-(x**2) / 2.0)).normalized()
 
     def tsfp_terminal(tau, t_end=0.4):
-        prop = build_mode_propagators(g, p, tau)
         psi = psi0
         for _ in range(int(round(t_end / tau))):
-            psi = tsfp_step(psi, p, prop, tau)
+            psi = tsfp_step(psi, p, tau)
         return psi
 
     ref = tsfp_terminal(2.5e-4)
@@ -180,9 +178,8 @@ def test_criterion_05_temporal_order():
 
     def box_terminal(tau, t_end=0.2):
         psi = psi0b
-        rot = build_box_rotation(gb, pb, tau)
         for _ in range(int(round(t_end / tau))):
-            psi = box_step(psi, pb, tau, rotation=rot)
+            psi = box_step(psi, pb, tau)
         return psi
 
     refb = box_terminal(2.5e-4)

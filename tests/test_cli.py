@@ -433,7 +433,10 @@ def test_dynamics_run_reports_non_finite_evolution(tmp_path, monkeypatch):
     assert main(["run", cfg, "--out", str(out)]) == 2
     assert "non-finite values" in (out / "FAILED").read_text()
     assert "status failed" in (out / "run_manifest.txt").read_text()
-    assert np.isfinite(load_checkpoint(out / "final_state.socb").spinor.psi).all()
+    chk = load_checkpoint(out / "final_state.socb")
+    assert np.isfinite(chk.spinor.psi).all()
+    # the step-6 state, stamped with its own time, not the last record's
+    assert chk.time == 6 * 1e-3
 
 
 def test_dynamics_from_unconverged_ground_state_fails(tmp_path):

@@ -177,7 +177,7 @@ def test_fused_tsfp_step_matches_per_component_reference(g, omega):
     p1 = p1 * np.exp(-1j * tau * (v1 + p.beta11 * rho1 + p.beta12 * rho2))
     p2 = p2 * np.exp(-1j * tau * (v2 + p.beta12 * rho1 + p.beta22 * rho2))
     ref1, ref2 = half(p1, p2)
-    out = tsfp_step(phi, p, prop, tau)
+    out = tsfp_step(phi, p, tau)
     assert np.abs(out.psi1 - ref1).max() <= 1e-13
     assert np.abs(out.psi2 - ref2).max() <= 1e-13
 

@@ -21,7 +21,7 @@ from socbec import (
 )
 from socbec import dynamics
 from socbec.dynamics import _box_core, _strang_step, _tilde_kinetic_phases
-from socbec.model import potential_field
+from socbec.model import discretization, potential_field
 
 
 def fourier_1d(n=64, lo=-8.0, hi=8.0):
@@ -127,17 +127,9 @@ def test_propagator_validation():
 def test_tsfp_step_guards():
     g = fourier_1d()
     p = Params(omega=1.0, potential="free")
-    prop = build_mode_propagators(g, p, 1e-3)
     psi = Spinor(g, np.exp(-g.coordinate(0) ** 2), np.zeros(g.shape))
-    with pytest.raises(ValueError):
-        tsfp_step(psi, p, prop, 2e-3)
-    with pytest.raises(ValueError):
-        tsfp_step(psi, p.with_(omega=2.0), prop, 1e-3)
-    other = fourier_1d(32)
-    psi2 = Spinor(other, np.exp(-other.coordinate(0) ** 2),
-                  np.zeros(other.shape))
-    with pytest.raises(ValueError):
-        tsfp_step(psi2, p, prop, 1e-3)
+    with pytest.raises(ValueError, match="lab frame"):
+        tsfp_step(psi, p.with_(frame="tilde"), 1e-3)
 
 
 # ---- tsfp stepping -------------------------------------------------------------
@@ -148,9 +140,8 @@ def test_tsfp_conserves_mass_per_step():
     p = Params(k0=1.0, omega=20.0, beta11=10.0, beta12=10.0, beta22=10.0)
     psi = Spinor(g, np.exp(-((x - 1.0) ** 2) / 2.0) * np.exp(0.3j * x),
                  0.5 * np.exp(-(x**2))).normalized()
-    prop = build_mode_propagators(g, p, 1e-3)
     for _ in range(50):
-        psi = tsfp_step(psi, p, prop, 1e-3)
+        psi = tsfp_step(psi, p, 1e-3)
         assert abs(psi.norm_sq() - 1.0) <= 1e-12
 
 
@@ -164,9 +155,8 @@ def test_tsfp_single_mode_matches_exact_solution():
     psi = Spinor(g, carrier, np.zeros(g.shape))
     tau = 1e-3
     steps = 400
-    prop = build_mode_propagators(g, p, tau)
     for _ in range(steps):
-        psi = tsfp_step(psi, p, prop, tau)
+        psi = tsfp_step(psi, p, tau)
     u = expm(-1j * steps * tau * mode_symbol(mu5, p.k0, p.delta, p.omega)) @ \
         np.array([1.0, 0.0])
     assert np.abs(psi.psi1 - u[0] * carrier).max() <= 1e-10
@@ -179,13 +169,11 @@ def test_tsfp_time_reversibility_linear():
     p = Params(k0=1.0, omega=2.0, delta=0.4, potential="free")
     psi0 = Spinor(g, np.exp(-(x**2) / 2.0) * np.exp(1j * x),
                   0.3 * np.exp(-(x**2) / 3.0)).normalized()
-    fwd = build_mode_propagators(g, p, 1e-2)
-    bwd = build_mode_propagators(g, p, -1e-2)
     psi = psi0
     for _ in range(20):
-        psi = tsfp_step(psi, p, fwd, 1e-2)
+        psi = tsfp_step(psi, p, 1e-2)
     for _ in range(20):
-        psi = tsfp_step(psi, p, bwd, -1e-2)
+        psi = tsfp_step(psi, p, -1e-2)
     assert np.abs(psi.psi1 - psi0.psi1).max() <= 1e-11
     assert np.abs(psi.psi2 - psi0.psi2).max() <= 1e-11
 
@@ -239,10 +227,9 @@ def test_richardson_second_order_tsfp():
     psi0 = psi0.normalized()
 
     def terminal(tau, t_end=0.4):
-        prop = build_mode_propagators(g, p, tau)
         psi = psi0
         for _ in range(int(round(t_end / tau))):
-            psi = tsfp_step(psi, p, prop, tau)
+            psi = tsfp_step(psi, p, tau)
         return psi
 
     ref = terminal(5e-4)
@@ -272,9 +259,9 @@ def test_rotation_preserves_pointwise_density():
     psi = bandlimited_box_state(g)
     p = Params(k0=2.0, omega=4.0, potential="box", frame="tilde")
     rot = build_box_rotation(g, p, 0.37)
-    r1, r2 = rot.apply(psi.psi1, psi.psi2)
+    r = rot.rotate(psi.psi)
     before = np.abs(psi.psi1) ** 2 + np.abs(psi.psi2) ** 2
-    after = np.abs(r1) ** 2 + np.abs(r2) ** 2
+    after = np.abs(r[0]) ** 2 + np.abs(r[1]) ** 2
     assert np.abs(after - before).max() <= 1e-14
 
 
@@ -283,9 +270,7 @@ def test_rotation_identity_at_omega_zero():
     psi = bandlimited_box_state(g)
     rot = build_box_rotation(g, Params(k0=2.0, omega=0.0, potential="box",
                                        frame="tilde"), 0.5)
-    r1, r2 = rot.apply(psi.psi1, psi.psi2)
-    assert np.array_equal(r1, psi.psi1)
-    assert np.array_equal(r2, psi.psi2)
+    assert np.array_equal(rot.rotate(psi.psi), psi.psi)
 
 
 def test_rotation_diagonalizer_unitary():
@@ -309,21 +294,6 @@ def test_box_step_guards():
     psif = Spinor(gf, np.exp(-gf.coordinate(0) ** 2), np.zeros(gf.shape))
     with pytest.raises(ValueError):
         box_step(psif, p, 1e-2)
-    rot = build_box_rotation(g, p, 1e-2)
-    with pytest.raises(ValueError):
-        box_step(psi, p, 2e-2, rotation=rot)
-
-
-def test_box_step_rejects_rotation_for_other_delta():
-    # the cached kinetic half-step phases carry +-delta/2
-    g = sine_1d()
-    psi = bandlimited_box_state(g)
-    p = Params(k0=1.0, omega=2.0, delta=0.5, potential="box", frame="tilde")
-    with pytest.raises(ValueError, match="rotation cache"):
-        box_step(psi, p, 1e-2, rotation=build_box_rotation(
-            g, p.with_(delta=0.0), 1e-2))
-    cached = box_step(psi, p, 1e-2, rotation=build_box_rotation(g, p, 1e-2))
-    assert np.array_equal(cached.psi, box_step(psi, p, 1e-2).psi)
 
 
 def _tilde_rhs_dense(grid, p, v1, v2):
@@ -394,9 +364,8 @@ def test_richardson_second_order_box():
 
     def terminal(tau, t_end=0.2):
         psi = psi0
-        rot = build_box_rotation(g, p, tau)
         for _ in range(int(round(t_end / tau))):
-            psi = box_step(psi, p, tau, rotation=rot)
+            psi = box_step(psi, p, tau)
         return psi
 
     ref = terminal(2.5e-4)
@@ -418,20 +387,19 @@ def test_lab_and_tilde_frames_agree_on_densities():
                   0.5 * np.pi**-0.25 * np.exp(-(x**2) / 2.0)).normalized()
     tau, steps = 5e-5, 1000
 
-    prop = build_mode_propagators(g, p, tau)
     lab = psi0
     for _ in range(steps):
-        lab = tsfp_step(lab, p, prop, tau)
+        lab = tsfp_step(lab, p, tau)
 
     p_t = p.with_(frame="tilde")
     tilde = gauge_transform(psi0, p, "to_tilde")
     rot = build_box_rotation(g, p_t, tau)
     kin = _tilde_kinetic_phases(g, p_t, 0.5 * tau)
-    v1, v2 = potential_field(p_t, g)
+    # box_step rejects a Fourier grid, so build its pieces here
+    d = discretization(g, p_t)
     for _ in range(steps):
-        tilde = _strang_step(
-            tilde, partial(np.multiply, kin),
-            lambda a: _box_core(a, rot, v1, v2, p_t.beta_matrix(), tau))
+        tilde = _strang_step(tilde, partial(np.multiply, kin),
+                             lambda a: _box_core(a, rot, d, tau))
 
     assert np.abs(np.abs(lab.psi1) - np.abs(tilde.psi1)).max() <= 1e-6
     assert np.abs(np.abs(lab.psi2) - np.abs(tilde.psi2)).max() <= 1e-6
@@ -532,19 +500,10 @@ FUSED_CASES = {
 
 def stepped_states(psi0, p, tau, n):
     """States after 0..n `tsfp_step`/`box_step` calls: the evolve oracle."""
-    if p.frame == "lab":
-        prop = build_mode_propagators(psi0.grid, p, tau)
-
-        def step(s):
-            return tsfp_step(s, p, prop, tau)
-    else:
-        rot = build_box_rotation(psi0.grid, p, tau)
-
-        def step(s):
-            return box_step(s, p, tau, rotation=rot)
+    step = tsfp_step if p.frame == "lab" else box_step
     out = [psi0]
     for _ in range(n):
-        out.append(step(out[-1]))
+        out.append(step(out[-1], p, tau))
     return out
 
 
@@ -618,3 +577,25 @@ def test_evolve_abort_keeps_last_good_state(monkeypatch, case,
     for k, rec in zip(kept, series.records):
         assert_records_close(rec, observables(ref[k], p))
     assert_states_close(series.final_state, ref[bad_step - 1])
+    assert series.final_time == (bad_step - 1) * tau
+
+
+@pytest.mark.parametrize("case,built_taus", [("lab_1d", [5e-3, 1e-2]),
+                                             ("box_2d", [])])
+def test_evolve_builds_tables_through_module_hooks(monkeypatch, case,
+                                                   built_taus):
+    # perfbench/tracer.py times these module attributes as its dynamics layer
+    assert all(callable(getattr(dynamics, name)) for name in
+               ("tsfp_step", "box_step", "build_mode_propagators"))
+    exact = dynamics.build_mode_propagators
+    taus = []
+
+    def counted(grid, params, tau):
+        taus.append(tau)
+        return exact(grid, params, tau)
+
+    monkeypatch.setattr(dynamics, "build_mode_propagators", counted)
+    psi0, p = FUSED_CASES[case]()
+    evolve(psi0, p, EvolveOptions(tau=5e-3, t_end=1e-2))
+    # the half-step and the full-step table of a lab run; none in the box
+    assert taus == built_taus
