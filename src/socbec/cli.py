@@ -6,8 +6,9 @@
 `validate` parses the config and runs the same dry run (`runner.preflight`)
 that `run` starts with, so it rejects what `run` would reject before solving.
 
-Exit codes: 0 success, 1 usage/parse/validation error, 2 run failure (any
-error once `run` has started; FAILED marker and manifest written).  --threads
+Exit codes: 0 success, 1 usage/parse/validation error or an output path
+that cannot be a directory, 2 run failure (any error once `run` has made its
+output directory; FAILED marker and manifest written).  --threads
 falls back to the SOCBEC_THREADS environment variable, then 1.
 """
 
@@ -76,7 +77,11 @@ def main(argv=None) -> int:
         print(f"{args.config}: ok ({config.mode} mode, {config.grid!r})")
         return EXIT_OK
     threads = args.threads if args.threads is not None else _default_threads()
-    return run(config, out_dir=args.out, threads=threads)
+    try:
+        return run(config, out_dir=args.out, threads=threads)
+    except OSError as exc:  # from making the output directory
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

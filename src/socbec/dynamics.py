@@ -23,16 +23,16 @@ rotation solves i dt psi1 = (omega/2) e^{-2ik0x} psi2 (and conjugate) exactly:
 which preserves the pointwise total density.
 
 `_splitting(grid, params, tau)` is the one builder of a step's tables: the
-spectral half-step, the full spectral step and the pointwise part.  `evolve`
-fuses adjacent spectral half-steps ("first same as last"): after one leading
-half-step, each step is inverse transform, pointwise part, forward transform
-and one full spectral step (a `ModePropagator` built at 2*tau, or the tilde
-kinetic phases over tau), one transform pair in all.  Record and snapshot
-points, the last step and an abort first close the pending half-step, so
-they see the states of a loop of `tsfp_step(psi, params, tau)` or
-`box_step(psi, params, tau)` to round-off.  Those two are the single-step API
-and the test oracle: each checks its frame and runs one unfused
-`_strang_step` over the `_splitting` tables, rebuilt on every call.
+spectral half-step and the pointwise part.  `evolve` fuses adjacent spectral
+half-steps ("first same as last"): after one leading half-step, each step is
+inverse transform, pointwise part, forward transform and one full spectral
+step (the half-step table of `_splitting` at 2*tau), one transform pair in
+all.  Record and snapshot points, the last step and an abort first close
+the pending half-step, so they see the states of a loop of
+`tsfp_step(psi, params, tau)` or `box_step(psi, params, tau)` to round-off.
+Those two are the single-step API and the test oracle: each checks its
+frame and runs one unfused `_strang_step` over the `_splitting` tables,
+rebuilt on every call.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from functools import partial
 import numpy as np
 
 from .grid import Grid
-from .model import (LAB, TILDE, Discretization, Params, Spinor, abs2,
+from .model import (LAB, TILDE, Discretization, Params, Spinor,
                     discretization, observables)
 
 
@@ -100,7 +100,7 @@ class ModePropagator:
         disc.check_dynamics()
         if tau == 0.0:
             raise ValueError("tau must be nonzero")
-        mu2 = disc.mu2
+        mu2 = grid.mu2
         chi = params.k0 * disc.mu_x - 0.5 * params.delta
         self.chi = chi
         omega = params.omega
@@ -161,8 +161,7 @@ def _nonlinear_phase(psi: np.ndarray, d: Discretization,
 
     The densities are invariant under the flow.
     """
-    p = d.mean_field(abs2(psi))
-    p += d.v
+    p = d.potential(psi)
     p *= -dt
     # e^{ip} as cos + i sin: the same values as np.exp(1j*p), computed faster
     rot = np.empty(p.shape, dtype=np.complex128)
@@ -184,8 +183,7 @@ def tsfp_step(psi: Spinor, params: Params, tau: float) -> Spinor:
     """One lab-frame Strang step: spectral half, nonlinear phase, spectral half."""
     if params.frame != LAB:
         raise ValueError("tsfp_step runs in the lab frame")
-    half, _, core = _splitting(psi.grid, params, tau)
-    return _strang_step(psi, half, core)
+    return _strang_step(psi, *_splitting(psi.grid, params, tau))
 
 
 @dataclass
@@ -246,8 +244,7 @@ def box_step(psi: Spinor, params: Params, tau: float) -> Spinor:
     """One tilde-frame Strang step on a sine grid (box truncation)."""
     if params.frame != TILDE:
         raise ValueError("box_step runs in the tilde frame")
-    half, _, core = _splitting(psi.grid, params, tau)
-    return _strang_step(psi, half, core)
+    return _strang_step(psi, *_splitting(psi.grid, params, tau))
 
 
 @dataclass
@@ -279,22 +276,20 @@ class TrajectorySeries:
 
 
 def _splitting(grid: Grid, params: Params, tau: float):
-    """(half, full, core) maps of one Strang step, TSFP or box by frame.
+    """(half, core) maps of one Strang step, TSFP or box by frame.
 
     A step is from_modes(half(to_modes(core(from_modes(half(c)))))): `half`
-    and `full` advance stacked spectral coefficients by half a step and by a
-    whole step of the spectral block and return new arrays; `core` is the
-    pointwise part, applied in place to physical samples.
+    advances stacked spectral coefficients by half a step of the spectral
+    block and returns a new array; `core` is the pointwise part, applied in
+    place to physical samples.  The `half` of 2*tau is a whole step.
     """
     d = discretization(grid, params)
     d.check_dynamics()
     if params.frame == LAB:
         half = build_mode_propagators(grid, params, tau)
-        full = build_mode_propagators(grid, params, 2.0 * tau)
-        return half.apply, full.apply, lambda a: _nonlinear_phase(a, d, tau)
+        return half.apply, lambda a: _nonlinear_phase(a, d, tau)
     rotation = build_box_rotation(grid, params, tau)
     return (partial(np.multiply, _tilde_kinetic_phases(grid, params, 0.5 * tau)),
-            partial(np.multiply, _tilde_kinetic_phases(grid, params, tau)),
             lambda a: _box_core(a, rotation, d, tau))
 
 
@@ -309,7 +304,8 @@ def evolve(psi0: Spinor, params: Params, options: EvolveOptions,
     state and is flagged `aborted`.
     """
     g = psi0.grid
-    half, full, core = _splitting(g, params, options.tau)
+    half, core = _splitting(g, params, options.tau)
+    full = _splitting(g, params, 2.0 * options.tau)[0]
 
     def close(m):
         return Spinor.from_stacked(g, g.from_modes(half(m), overwrite=True))

@@ -135,13 +135,12 @@ class _Flow:
         if it % MU_UPDATE_EVERY:
             return
         d = self.disc
-        rho = abs2(psi)
-        e, quartic = d.energy_parts(psi, rho, abs2(d.grid.to_modes(psi)))
+        e, quartic = d.energy_parts(psi)
         self.energy_rise = max(self.energy_rise, e - self.energy)
         self.energy = e
         mu_hat = e + quartic
         if it % SHIFT_UPDATE_EVERY == 0:
-            self.alpha = 0.5 * float((d.v + d.mean_field(rho)).max())
+            self.alpha = 0.5 * float(d.potential(psi).max())
         self.set_shifts(max(self.alpha, self.guard_floor(mu_hat)), mu_hat)
 
     def set_shifts(self, alpha: float, mu_hat: float):
@@ -223,7 +222,7 @@ def _solve(params: Params, grid: Grid, options: GfdnOptions) -> GroundStateResul
                 "scalar profile has equal energy)"
             )
 
-    e, quartic = disc.energy_parts(psi, abs2(psi), abs2(grid.to_modes(psi)))
+    e, quartic = disc.energy_parts(psi)
     return GroundStateResult(
         phi=phi, energy=e, mu=e + quartic, iterations=iterations,
         residual=residual, converged=converged, warnings=warnings,
@@ -405,7 +404,8 @@ def limit_study(kind: str, params: Params, grid: Grid, values,
     """Parameter-sweep drivers for the asymptotic ground-state regimes.
 
     kind selects the swept parameter and the diagnostic:
-      - "large_k0":      sweep k0; |omega * tilde Raman overlap| and density
+      - "large_k0":      sweep k0; |omega * Raman overlap| (the overlaps of
+                         a state and its gauge image agree) and density
                          distance to the no-Raman reference.
       - "large_omega":   sweep omega; component-density asymmetry and distance
                          to the symmetrized strong-Raman minimizer.
@@ -443,7 +443,7 @@ def limit_study(kind: str, params: Params, grid: Grid, values,
         swept = sweep("k0", singles=True)
         ref = best(params.with_(k0=values[0], omega=0.0))
         diagnostics["raman_coupling_abs"] = [
-            abs(p.omega * _tilde_overlap(r.phi, p))
+            abs(p.omega * raman_overlap(r.phi, p))
             for p, r in zip(swept, results)
         ]
         diagnostics["dist_to_no_raman"] = [
@@ -499,11 +499,3 @@ def limit_study(kind: str, params: Params, grid: Grid, values,
         kind=kind, values=values, diagnostics=diagnostics, results=results,
         slope=slope, intercept=intercept, fitted_c0=fitted_c0,
     )
-
-
-def _tilde_overlap(phi: Spinor, params: Params) -> float:
-    """Tilde-frame Raman overlap of a result in its native frame."""
-    if params.frame == TILDE:
-        return raman_overlap(phi, params)
-    tilde = gauge_transform(phi, params, "to_tilde")
-    return raman_overlap(tilde, params.with_(frame=TILDE))

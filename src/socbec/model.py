@@ -9,8 +9,9 @@ selected by `Params.frame`: the tilde frame trades the first-derivative
 spin-orbit term for an oscillatory exp(+-2i*k0*x) factor on the Raman term.
 
 `discretization(grid, params)` returns the one cached `Discretization` of a
-(grid, params) pair: its fields, spectral symbols, frame/basis rules and
-resolution warnings, read by the functionals here and by the solvers.
+(grid, params) pair: its fields, spectral symbols, frame/basis rules,
+resolution warnings and the one copy of the discrete operator (energy, H psi,
+V + beta*rho, spin-orbit term), read by the functionals and the solvers.
 """
 
 from __future__ import annotations
@@ -176,7 +177,7 @@ class Discretization:
         coupling   R with H_raman psi = R * psi[::-1]: omega/2 in the lab
                    frame, stacked omega/2 * (e^{-2ik0x}, e^{2ik0x}) in the
                    tilde frame
-        mu2, mu_x  |mu|^2 and the x wavenumber over the mode grid
+        mu_x       the x wavenumber over the mode grid
         symbol     stacked diagonal symbol of the constant-coefficient block:
                    |mu|^2/2 -+ k0*mu_x (lab frame, Fourier x axis) +- delta/2
         energy_weight  mode_weight * symbol, so the quadratic part of the
@@ -209,14 +210,13 @@ class Discretization:
                 (np.conj(self.phase), self.phase))
         else:
             self.coupling = 0.5 * params.omega
-        self.mu2 = grid.mu2
         self.mu_x = grid.mu(0) * np.ones(grid.shape)
         x_fourier = grid.axes[0].basis == FOURIER
         spin_orbit = params.frame == LAB and params.k0 != 0.0
         self.so_by_deriv = spin_orbit and not x_fourier
         so = params.k0 * self.mu_x if spin_orbit and x_fourier else 0.0
-        self.symbol = np.stack((0.5 * self.mu2 - so + 0.5 * params.delta,
-                                0.5 * self.mu2 + so - 0.5 * params.delta))
+        self.symbol = np.stack((0.5 * grid.mu2 - so + 0.5 * params.delta,
+                                0.5 * grid.mu2 + so - 0.5 * params.delta))
         self.energy_weight = grid.mode_weight * self.symbol
         for arr in (self.v, self.phase, self.coupling, self.mu_x, self.symbol,
                     self.energy_weight):
@@ -262,35 +262,53 @@ class Discretization:
         if self.params.frame == TILDE and not self.grid.is_sine:
             raise ValueError("tilde-frame evolution runs on a sine grid")
 
-    def mean_field(self, rho: np.ndarray) -> np.ndarray:
-        """beta @ rho over the component axis of stacked densities."""
-        return np.tensordot(self.beta, rho, 1)
-
     def overlap(self, psi: np.ndarray) -> float:
         """Re int psi1 conj(psi2), times e^{2ik0x} in the tilde frame."""
         p1 = self.phase * psi[0] if self.params.frame == TILDE else psi[0]
         return self.grid.cell_volume * float(np.vdot(psi[1], p1).real)
 
-    def deriv_spin_orbit(self, psi: np.ndarray) -> float:
-        """Re(i k0 int conj(psi1) dx psi1 - conj(psi2) dx psi2) via Grid.deriv."""
-        d = self.grid.deriv(psi, 0)
-        t = np.vdot(psi[0], d[0]) - np.vdot(psi[1], d[1])
-        return float(np.real(1j * self.params.k0 * t)) * self.grid.cell_volume
+    def potential(self, psi: np.ndarray) -> np.ndarray:
+        """Stacked pointwise potential V + beta @ |psi|^2 (a new array)."""
+        p = np.tensordot(self.beta, abs2(psi), 1)
+        p += self.v
+        return p
 
-    def energy_parts(self, psi: np.ndarray, rho: np.ndarray, modes2: np.ndarray):
+    def spin_orbit(self, psi: np.ndarray) -> np.ndarray:
+        """Stacked (i k0 dx psi1, -i k0 dx psi2) via `Grid.deriv` (so_by_deriv)."""
+        d = self.grid.deriv(psi, 0)
+        d[0] *= 1j * self.params.k0
+        d[1] *= -1j * self.params.k0
+        return d
+
+    def energy_parts(self, psi: np.ndarray, modes2: np.ndarray | None = None):
         """(energy, quartic integral) of stacked psi.
 
-        rho = |psi|^2 and modes2 = |to_modes(psi)|^2; the kinetic, diagonal
-        spin-orbit and detuning terms are the Parseval sum over modes2.
+        The kinetic, diagonal spin-orbit and detuning terms are the Parseval
+        sum over modes2 = |to_modes(psi)|^2, built here unless the caller
+        already has it.
         """
+        if modes2 is None:
+            modes2 = abs2(self.grid.to_modes(psi))
+        rho = abs2(psi)
         cv = self.grid.cell_volume
-        quartic = 0.5 * cv * float(np.vdot(rho, self.mean_field(rho)))
+        quartic = 0.5 * cv * float(np.vdot(rho, np.tensordot(self.beta, rho, 1)))
         val = float(np.vdot(self.energy_weight, modes2))
         val += cv * float(np.vdot(self.v, rho))
         val += quartic + self.params.omega * self.overlap(psi)
         if self.so_by_deriv:
-            val += self.deriv_spin_orbit(psi)
+            val += cv * float(np.vdot(psi, self.spin_orbit(psi)).real)
         return val, quartic
+
+    def hamiltonian(self, psi: np.ndarray) -> np.ndarray:
+        """H(psi) psi of stacked psi, the Euler-Lagrange operator of the energy."""
+        c = self.grid.to_modes(psi)
+        c *= self.symbol
+        h = self.grid.from_modes(c, overwrite=True)
+        h += self.potential(psi) * psi
+        h += self.coupling * psi[::-1]
+        if self.so_by_deriv:
+            h += self.spin_orbit(psi)
+        return h
 
 
 @functools.lru_cache(maxsize=4)
@@ -312,14 +330,9 @@ def potential_field(params: Params, grid: Grid):
     return v[0], v[1]
 
 
-def _modes2(phi: Spinor) -> np.ndarray:
-    return abs2(phi.grid.to_modes(phi.psi))
-
-
 def energy(phi: Spinor, params: Params) -> float:
     """Energy functional in the frame selected by params.frame."""
-    d = discretization(phi.grid, params)
-    return d.energy_parts(phi.psi, abs2(phi.psi), _modes2(phi))[0]
+    return discretization(phi.grid, params).energy_parts(phi.psi)[0]
 
 
 def energy_variant(phi: Spinor, params: Params, variant: str) -> float:
@@ -331,30 +344,26 @@ def energy_variant(phi: Spinor, params: Params, variant: str) -> float:
                         depend on omega or k0.
     - "large_omega":    limiting functional of the strong-Raman regime,
                         evaluated on the first component alone:
-                        int 1/2|grad phi|^2 + (V1+V2)/2 |phi|^2
-                            + (b11+b22+2*b12)/4 |phi|^4.
+                        int 1/2|grad phi|^2 + V |phi|^2
+                            + (b11+b22+2*b12)/4 |phi|^4 (one trap V for both),
+                        the energy of (phi1, 0) under reduced couplings.
     """
-    g = phi.grid
     if variant == "no_so":
         return energy(phi, params.with_(k0=0.0, frame=LAB))
     if variant == "tilde_no_raman":
         return energy(phi, params.with_(omega=0.0, frame=TILDE))
     if variant == "large_omega":
-        v = discretization(g, params).v
-        psi = phi.psi1
-        rho = abs2(psi)
-        val = 0.5 * g.mode_weight * float(np.vdot(g.mu2, abs2(g.to_modes(psi))))
-        val += g.quadrature(0.5 * (v[0] + v[1]) * rho)
-        bsum = 0.25 * (params.beta11 + params.beta22 + 2.0 * params.beta12)
-        val += bsum * g.quadrature(rho**2)
-        return float(val)
+        bsum = 0.5 * (params.beta11 + params.beta22 + 2.0 * params.beta12)
+        reduced = params.with_(k0=0.0, omega=0.0, delta=0.0, beta11=bsum,
+                               beta12=0.0, beta22=0.0, frame=LAB)
+        pair = Spinor(phi.grid, phi.psi1, np.zeros_like(phi.psi1))
+        return energy(pair, reduced)
     raise ValueError(f"unknown energy variant {variant!r}")
 
 
 def chemical_potential(phi: Spinor, params: Params) -> float:
     """Lagrange multiplier of the norm constraint: E plus the quartic integral."""
-    d = discretization(phi.grid, params)
-    e, quartic = d.energy_parts(phi.psi, abs2(phi.psi), _modes2(phi))
+    e, quartic = discretization(phi.grid, params).energy_parts(phi.psi)
     return e + quartic
 
 
@@ -372,11 +381,10 @@ def observables(phi: Spinor, params: Params) -> Observables:
     g = phi.grid
     d = discretization(g, params)
     psi = phi.psi
-    rho = abs2(psi)
     modes2 = abs2(g.to_modes(psi))
-    e, quartic = d.energy_parts(psi, rho, modes2)
+    e, quartic = d.energy_parts(psi, modes2)
     n1, n2 = phi.component_masses()
-    total = rho[0] + rho[1]
+    total = phi.density()
     xc = np.array([g.quadrature(g.coordinate(i) * total) for i in range(g.dim)])
     mode_total = modes2[0] + modes2[1]
     mom = np.zeros(g.dim)
@@ -400,19 +408,8 @@ def observables(phi: Spinor, params: Params) -> Observables:
 
 def apply_hamiltonian(phi: Spinor, params: Params) -> Spinor:
     """Euler-Lagrange operator H(phi) applied to phi in the active frame."""
-    g = phi.grid
-    d = discretization(g, params)
-    psi = phi.psi
-    c = g.to_modes(psi)
-    c *= d.symbol
-    h = g.from_modes(c, overwrite=True)
-    h += (d.v + d.mean_field(abs2(psi))) * psi
-    h += d.coupling * psi[::-1]
-    if d.so_by_deriv:
-        dpsi = g.deriv(psi, 0)
-        h[0] += 1j * params.k0 * dpsi[0]
-        h[1] -= 1j * params.k0 * dpsi[1]
-    return Spinor.from_stacked(g, h)
+    h = discretization(phi.grid, params).hamiltonian(phi.psi)
+    return Spinor.from_stacked(phi.grid, h)
 
 
 def eigen_residual(phi: Spinor, params: Params, mu: float | None = None) -> float:

@@ -381,7 +381,7 @@ def run(config: ExperimentConfig, out_dir=None, threads: int = 1) -> int:
         for w in preflight(config):
             r.warn(w)
         getattr(r, f"run_{config.mode}")()
-    except (RunFailure, ValueError, FloatingPointError, OSError) as exc:
+    except (RunFailure, ValueError, ArithmeticError, OSError) as exc:
         r.write_manifest("failed")
         write_atomic(failed, (str(exc) + "\n").encode("utf-8"))
         return EXIT_SOLVER

@@ -447,3 +447,29 @@ def test_dynamics_from_unconverged_ground_state_fails(tmp_path):
     assert main(["run", cfg, "--out", str(out)]) == 2
     assert "ground-state solve did not converge" in \
         (out / "FAILED").read_text()
+
+
+LDA_SINGULAR = DYN_CONFIG.replace("mode = dynamics", "mode = com_compare") \
+    .replace("omega = 4\nk0 = 1", "omega = 0\nk0 = 0")
+
+
+def test_singular_lda_force_fails_the_run(tmp_path):
+    # at omega = 0 the reduced force is singular where 2*k0*Px = delta, a
+    # condition on the state; here (delta = k0 = 0) it holds from the start
+    cfg = write(tmp_path, "lda.cfg", LDA_SINGULAR)
+    assert main(["validate", cfg]) == 0
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert "singular reduced force" in (out / "FAILED").read_text()
+    assert "status failed" in (out / "run_manifest.txt").read_text()
+
+
+def test_run_out_naming_a_file_is_a_usage_error(tmp_path, capsys):
+    cfg = write(tmp_path, "gs.cfg", GS_CONFIG)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    assert main(["run", cfg, "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(taken) in err
+    assert taken.read_text() == "not a directory\n"

@@ -182,6 +182,19 @@ def test_fused_tsfp_step_matches_per_component_reference(g, omega):
     assert np.abs(out.psi2 - ref2).max() <= 1e-13
 
 
+# ---- the discrete operator ----------------------------------------------------
+
+def test_potential_is_trap_plus_mean_field():
+    phi = smooth_spinor(FOURIER_2D, seed=8)
+    v1, v2 = potential_field(LAB, FOURIER_2D)
+    rho1, rho2 = np.abs(phi.psi1) ** 2, np.abs(phi.psi2) ** 2
+    pot = discretization(FOURIER_2D, LAB).potential(phi.psi)
+    np.testing.assert_allclose(pot[0], v1 + LAB.beta11 * rho1 + LAB.beta12 * rho2,
+                               rtol=1e-15)
+    np.testing.assert_allclose(pot[1], v2 + LAB.beta12 * rho1 + LAB.beta22 * rho2,
+                               rtol=1e-15)
+
+
 # ---- stacked transforms (property tests) --------------------------------------
 
 axes_strategy = st.lists(

@@ -21,6 +21,7 @@ from socbec import (
     reduce_dimension,
     uniqueness_indicator,
 )
+from socbec.model import discretization
 
 
 def grid_1d(n=128, lo=-16.0, hi=16.0):
@@ -163,6 +164,21 @@ def test_energy_variant_large_omega_half_norm_gaussian():
     phi = Spinor(g, ho_gaussian(g) / np.sqrt(2.0), np.zeros(g.shape))
     val = energy_variant(phi, Params(), "large_omega")
     assert val == pytest.approx(0.25, abs=1e-12)
+
+
+@pytest.mark.parametrize("frame", ["lab", "tilde"])
+def test_energy_variant_large_omega_is_the_limiting_functional(frame):
+    g = grid_1d(64)
+    phi = random_spinor(g, seed=5)
+    p = Params(k0=2.0, omega=30.0, delta=0.5, beta11=2.0, beta12=0.5,
+               beta22=1.0, frame=frame)
+    psi = phi.psi1
+    rho = np.abs(psi) ** 2
+    v1, v2 = potential_field(p, g)
+    kinetic = -0.5 * g.quadrature(np.real(np.conj(psi) * g.laplacian(psi)))
+    ref = (kinetic + g.quadrature(0.5 * (v1 + v2) * rho)
+           + 0.25 * (2.0 + 1.0 + 2.0 * 0.5) * g.quadrature(rho**2))
+    assert energy_variant(phi, p, "large_omega") == pytest.approx(ref, rel=1e-12)
 
 
 def test_energy_variant_no_so_equals_energy_without_k0():
@@ -314,6 +330,53 @@ def test_hamiltonian_rayleigh_quotient_matches_mu():
     h = apply_hamiltonian(phi, p)
     quad = g.quadrature(np.conj(phi.psi1) * h.psi1 + np.conj(phi.psi2) * h.psi2)
     assert np.real(quad) == pytest.approx(chemical_potential(phi, p), abs=1e-12)
+
+
+SO_SINE = make_grid([Axis(-12.0, 12.0, 96, "sine")])
+OPERATOR_PARAMS = Params(k0=0.8, omega=1.2, delta=-0.4, beta11=1.5,
+                         beta12=0.3, beta22=0.7)
+OPERATOR_CASES = {
+    # the spin-orbit term sits in the diagonal symbol
+    "lab_fourier": (grid_1d(64), OPERATOR_PARAMS, random_spinor),
+    "tilde_sine": (SO_SINE, OPERATOR_PARAMS.with_(potential="box",
+                                                  frame="tilde"), random_spinor),
+    # k0 != 0 on a sine x axis: `spin_orbit` through Grid.deriv, whose
+    # collocation form is antisymmetric only for fields that vanish near the
+    # boundary, hence the packets
+    "lab_sine": (SO_SINE, OPERATOR_PARAMS.with_(potential="box"), packet_spinor),
+}
+
+
+@pytest.mark.parametrize("case", OPERATOR_CASES)
+def test_hamiltonian_is_the_gradient_of_the_energy(case):
+    g, p, field = OPERATOR_CASES[case]
+    assert discretization(g, p).so_by_deriv == (case == "lab_sine")
+    phi, eta = field(g, seed=23, normalize=True), field(g, seed=24).psi
+    h = apply_hamiltonian(phi, p).psi
+    # <psi, H psi> = mu(psi)
+    assert g.cell_volume * np.vdot(phi.psi, h).real == pytest.approx(
+        chemical_potential(phi, p), rel=1e-13)
+    # dE(psi + eps*eta)/deps at 0 = 2 Re <H psi, eta>
+    eps = 1e-5
+    plus = Spinor.from_stacked(g, phi.psi + eps * eta)
+    minus = Spinor.from_stacked(g, phi.psi - eps * eta)
+    slope = (energy(plus, p) - energy(minus, p)) / (2.0 * eps)
+    assert slope == pytest.approx(
+        2.0 * g.cell_volume * np.vdot(h, eta).real, rel=1e-8)
+
+
+@pytest.mark.parametrize("case", ["lab_fourier", "lab_sine"])
+def test_spin_orbit_is_the_k0_part_of_the_operator(case):
+    # on a Fourier x axis the symbol holds i*k0*dx, on a sine x axis
+    # `hamiltonian` adds `spin_orbit`: either way it is H(k0) - H(0)
+    g, p, _ = OPERATOR_CASES[case]
+    d, d0 = discretization(g, p), discretization(g, p.with_(k0=0.0))
+    psi = packet_spinor(g, seed=25, normalize=True).psi
+    so = d.spin_orbit(psi)
+    h = d.hamiltonian(psi)
+    assert np.abs(h - d0.hamiltonian(psi) - so).max() <= 1e-13 * np.abs(h).max()
+    assert d.energy_parts(psi)[0] - d0.energy_parts(psi)[0] == pytest.approx(
+        g.cell_volume * np.vdot(psi, so).real, rel=1e-12)
 
 
 def test_eigen_residual_exact_oscillator():

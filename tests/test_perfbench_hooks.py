@@ -1,0 +1,69 @@
+"""The module attributes that the benchmark harness patches exist and are
+looked up at call time.
+
+`perfbench/tracer.py` and `perfbench/child.py` wrap public functions of
+`runner`, `ground_state`, `dynamics` and `Grid` by name.  A refactor that
+drops or renames one, or binds it where the wrapper cannot reach it, leaves
+the rest of the suite green while the traced benchmark breaks or reads 0.
+This runs one traced benchmark invocation of a small com_compare config.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+COM_CONFIG = """
+[run]
+mode = com_compare
+[grid]
+x = -8, 8, 32, fourier
+[params]
+omega = 20
+k0 = 1
+beta11 = 10
+beta12 = 10
+beta22 = 10
+[gfdn]
+init = gaussian_pair
+[evolve]
+tau = 1e-3
+t_end = 0.02
+record_every = 10
+[initial]
+kind = shifted_ground_state
+offset = 0.5
+"""
+
+
+def test_traced_benchmark_invocation_reaches_every_hook(tmp_path):
+    cfg = tmp_path / "com.cfg"
+    cfg.write_text(COM_CONFIG)
+    result = tmp_path / "result.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1")
+    argv = [sys.executable, str(ROOT / "perfbench" / "child.py"), "traced",
+            str(cfg), str(tmp_path / "out"), str(result),
+            repr(time.monotonic()), "0"]
+    proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True,
+                          text=True, timeout=300)
+    # an AttributeError here names the hook that is gone
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(result.read_text())
+    assert data["rc"] == 0
+    # child.py's own probes: solver, flow-iteration and evolve counters
+    assert data["gs_s"] > 0 and data["flow_iters"] > 0
+    assert data["evolve_steps"] == 20
+    # tracer.py's spans: every layer of this run was seen through its hook
+    layers = data["layers"]
+    assert layers["ground_state.solves"] == layers["ground_state.results"] == 1
+    assert layers["ground_state.iters"] == data["flow_iters"]
+    for key in ("states.initial_s", "dynamics.setup_s", "dynamics.record_s",
+                "com.lda_ode_s", "config.parse_s"):
+        assert layers[key] > 0, key
+    assert layers["checkpoint.saves"] == 1
+    assert layers["model.observables_calls"] >= 3
