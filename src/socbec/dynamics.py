@@ -196,7 +196,6 @@ class BoxRotation:
     """
 
     cos_half: float
-    phase: np.ndarray = field(repr=False)
     off: np.ndarray = field(repr=False)
 
     def rotate(self, psi: np.ndarray) -> np.ndarray:
@@ -205,22 +204,12 @@ class BoxRotation:
         out += self.off * psi[::-1]
         return out
 
-    def t_matrices(self) -> np.ndarray:
-        """Unitary diagonalizer T(x) of the coupling, shape (2,2)+grid.shape."""
-        ones = np.ones(self.phase.shape)
-        p = self.phase  # e^{-2ik0x}
-        s = 1.0 / np.sqrt(2.0)
-        return np.stack([
-            np.stack([s * ones, s * p], axis=0),
-            np.stack([-s * ones, s * p], axis=0),
-        ], axis=0)
-
 
 def build_box_rotation(grid: Grid, params: Params, tau: float) -> BoxRotation:
-    phase = np.conj(discretization(grid, params).phase)
+    phase = discretization(grid, params).phase
     half = 0.5 * params.omega * tau
-    off = -1j * np.sin(half) * np.stack((phase, np.conj(phase)))
-    return BoxRotation(cos_half=float(np.cos(half)), phase=phase, off=off)
+    off = -1j * np.sin(half) * np.stack((np.conj(phase), phase))
+    return BoxRotation(cos_half=float(np.cos(half)), off=off)
 
 
 def _tilde_kinetic_phases(grid: Grid, params: Params, dt: float) -> np.ndarray:

@@ -11,7 +11,10 @@ spin-orbit term for an oscillatory exp(+-2i*k0*x) factor on the Raman term.
 `discretization(grid, params)` returns the one cached `Discretization` of a
 (grid, params) pair: its fields, spectral symbols, frame/basis rules,
 resolution warnings and the one copy of the discrete operator (energy, H psi,
-V + beta*rho, spin-orbit term), read by the functionals and the solvers.
+V + beta*rho), read by the functionals and the solvers.  On a Fourier x axis
+the lab-frame spin-orbit term sits in the diagonal symbol; on a sine x axis
+the lab operator is the tilde operator conjugated by the gauge map
+G = diag(e^{ik0x}, e^{-ik0x}), shifted by -k0^2/2.
 """
 
 from __future__ import annotations
@@ -179,12 +182,13 @@ class Discretization:
                    tilde frame
         mu_x       the x wavenumber over the mode grid
         symbol     stacked diagonal symbol of the constant-coefficient block:
-                   |mu|^2/2 -+ k0*mu_x (lab frame, Fourier x axis) +- delta/2
+                   |mu|^2/2 -+ k0*mu_x (lab frame, Fourier x axis) +- delta/2,
+                   minus k0^2/2 where `gauge` is set
         energy_weight  mode_weight * symbol, so the quadratic part of the
-                   energy is sum(energy_weight * |to_modes(psi)|^2)
-        so_by_deriv  lab frame with k0 != 0 on a sine x axis, where the
-                   spin-orbit term is not diagonal in the basis and is taken
-                   in physical space through `Grid.deriv`
+                   energy is sum(energy_weight * |to_modes(G^-1 psi)|^2)
+        gauge      stacked G = (e^{ik0x}, e^{-ik0x}) in the lab frame with
+                   k0 != 0 on a sine x axis, where the spectral block acts on
+                   G^-1 psi (the tilde-frame field); None elsewhere (G = 1)
         warnings   resolution warnings
     """
 
@@ -213,13 +217,17 @@ class Discretization:
         self.mu_x = grid.mu(0) * np.ones(grid.shape)
         x_fourier = grid.axes[0].basis == FOURIER
         spin_orbit = params.frame == LAB and params.k0 != 0.0
-        self.so_by_deriv = spin_orbit and not x_fourier
         so = params.k0 * self.mu_x if spin_orbit and x_fourier else 0.0
-        self.symbol = np.stack((0.5 * grid.mu2 - so + 0.5 * params.delta,
-                                0.5 * grid.mu2 + so - 0.5 * params.delta))
+        self.gauge, shift = None, 0.0
+        if spin_orbit and not x_fourier:
+            self.gauge = np.stack((np.exp(1j * params.k0 * x),
+                                   np.exp(-1j * params.k0 * x)))
+            shift = 0.5 * params.k0**2
+        self.symbol = np.stack((0.5 * grid.mu2 - so + 0.5 * params.delta - shift,
+                                0.5 * grid.mu2 + so - 0.5 * params.delta - shift))
         self.energy_weight = grid.mode_weight * self.symbol
         for arr in (self.v, self.phase, self.coupling, self.mu_x, self.symbol,
-                    self.energy_weight):
+                    self.energy_weight, self.gauge):
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
         self.warnings = self._resolution_warnings()
@@ -273,41 +281,36 @@ class Discretization:
         p += self.v
         return p
 
-    def spin_orbit(self, psi: np.ndarray) -> np.ndarray:
-        """Stacked (i k0 dx psi1, -i k0 dx psi2) via `Grid.deriv` (so_by_deriv)."""
-        d = self.grid.deriv(psi, 0)
-        d[0] *= 1j * self.params.k0
-        d[1] *= -1j * self.params.k0
-        return d
+    def ungauged(self, psi: np.ndarray) -> np.ndarray:
+        """G^-1 psi, the field the spectral block acts on (psi if no gauge)."""
+        return psi if self.gauge is None else np.conj(self.gauge) * psi
 
     def energy_parts(self, psi: np.ndarray, modes2: np.ndarray | None = None):
         """(energy, quartic integral) of stacked psi.
 
         The kinetic, diagonal spin-orbit and detuning terms are the Parseval
-        sum over modes2 = |to_modes(psi)|^2, built here unless the caller
-        already has it.
+        sum over modes2 = |to_modes(G^-1 psi)|^2, built here unless the
+        caller already has it.
         """
         if modes2 is None:
-            modes2 = abs2(self.grid.to_modes(psi))
+            modes2 = abs2(self.grid.to_modes(self.ungauged(psi)))
         rho = abs2(psi)
         cv = self.grid.cell_volume
         quartic = 0.5 * cv * float(np.vdot(rho, np.tensordot(self.beta, rho, 1)))
         val = float(np.vdot(self.energy_weight, modes2))
         val += cv * float(np.vdot(self.v, rho))
         val += quartic + self.params.omega * self.overlap(psi)
-        if self.so_by_deriv:
-            val += cv * float(np.vdot(psi, self.spin_orbit(psi)).real)
         return val, quartic
 
     def hamiltonian(self, psi: np.ndarray) -> np.ndarray:
         """H(psi) psi of stacked psi, the Euler-Lagrange operator of the energy."""
-        c = self.grid.to_modes(psi)
+        c = self.grid.to_modes(self.ungauged(psi))
         c *= self.symbol
         h = self.grid.from_modes(c, overwrite=True)
+        if self.gauge is not None:
+            h *= self.gauge
         h += self.potential(psi) * psi
         h += self.coupling * psi[::-1]
-        if self.so_by_deriv:
-            h += self.spin_orbit(psi)
         return h
 
 
@@ -375,13 +378,15 @@ def raman_overlap(phi: Spinor, params: Params) -> float:
 def observables(phi: Spinor, params: Params) -> Observables:
     """All one-slice observables: masses, energy, mu, x_c, momentum, overlap.
 
-    One forward transform serves the energy and the Fourier-axis momenta
-    (Parseval); a sine axis takes its momentum through `Grid.deriv`.
+    One forward transform of G^-1 psi serves the energy and the Fourier-axis
+    momenta (Parseval); a sine axis takes its momentum of G^-1 psi through
+    `Grid.deriv`, and the gauge adds k0*(N1 - N2) to the x momentum.
     """
     g = phi.grid
     d = discretization(g, params)
     psi = phi.psi
-    modes2 = abs2(g.to_modes(psi))
+    psi_t = d.ungauged(psi)
+    modes2 = abs2(g.to_modes(psi_t))
     e, quartic = d.energy_parts(psi, modes2)
     n1, n2 = phi.component_masses()
     total = phi.density()
@@ -392,7 +397,9 @@ def observables(phi: Spinor, params: Params) -> Observables:
         if a.basis == FOURIER:
             mom[i] = g.mode_weight * float((g.mu(i) * mode_total).sum())
         else:
-            mom[i] = g.quadrature(np.imag(np.conj(psi) * g.deriv(psi, i)).sum(axis=0))
+            mom[i] = g.quadrature(np.imag(np.conj(psi_t) * g.deriv(psi_t, i)).sum(axis=0))
+    if d.gauge is not None:
+        mom[0] += params.k0 * (n1 - n2)
     return Observables(
         mass=n1 + n2,
         mass1=n1,

@@ -3,7 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from socbec import Axis, Params, Spinor, load_checkpoint, make_grid, save_checkpoint
+from socbec import (Axis, Params, Spinor, eigen_residual, energy, load_checkpoint,
+                    make_grid, save_checkpoint)
 from socbec.cli import main
 
 GS_CONFIG = """
@@ -222,7 +223,15 @@ init = sine_opposite
     assert tilde.params.frame == "tilde" and lab.params.frame == "lab"
     np.testing.assert_allclose(np.abs(lab.spinor.psi1),
                                np.abs(tilde.spinor.psi1), atol=1e-14)
-    assert "lab_energy" in (out / "run_manifest.txt").read_text()
+    results = dict(line.split(" ", 1) for line in
+                   (out / "run_manifest.txt").read_text().splitlines()
+                   if line.startswith(("lab_energy ", "mu ")))
+    # the lab state is evaluated under its own params, on its own sine grid
+    assert energy(lab.spinor, lab.params) == pytest.approx(
+        float(results["lab_energy"]), rel=1e-12)
+    mu = float(results["mu"])
+    assert eigen_residual(lab.spinor, lab.params, mu - 0.5 * lab.params.k0**2) \
+        == pytest.approx(eigen_residual(tilde.spinor, tilde.params, mu), rel=1e-12)
 
 
 def test_box_raman_sweep_1d(tmp_path):

@@ -273,17 +273,6 @@ def test_rotation_identity_at_omega_zero():
     assert np.array_equal(rot.rotate(psi.psi), psi.psi)
 
 
-def test_rotation_diagonalizer_unitary():
-    g = sine_1d()
-    rot = build_box_rotation(g, Params(k0=1.3, omega=2.0, potential="box",
-                                       frame="tilde"), 0.1)
-    t = rot.t_matrices()
-    tt = np.einsum("ji...,jk...->ik...", t.conj(), t)
-    assert np.abs(tt[0, 0] - 1.0).max() <= 1e-14
-    assert np.abs(tt[1, 1] - 1.0).max() <= 1e-14
-    assert np.abs(tt[0, 1]).max() <= 1e-14
-
-
 def test_box_step_guards():
     g = sine_1d()
     psi = bandlimited_box_state(g)

@@ -234,11 +234,8 @@ def test_lab_view_of_tilde_result():
     assert e_lab == pytest.approx(res.energy - 0.5 * p.k0**2, abs=1e-12)
     # gauge factors leave the densities untouched
     assert np.abs(np.abs(phi_lab.psi1) - np.abs(res.phi.psi1)).max() <= 1e-14
-    # direct evaluation of the lab functional in the sine basis carries a
-    # spatial representation error (the gauge factor is not odd-extendable);
-    # it converges to the identity value with n
     assert energy(phi_lab, p.with_(frame="lab")) == pytest.approx(e_lab,
-                                                                  abs=1e-5)
+                                                                  rel=1e-12)
 
 
 # ---- multi start ---------------------------------------------------------------

@@ -18,9 +18,11 @@ from socbec import (
     nondimensionalize,
     observables,
     potential_field,
+    raman_overlap,
     reduce_dimension,
     uniqueness_indicator,
 )
+from socbec.grid import Grid
 from socbec.model import discretization
 
 
@@ -337,21 +339,18 @@ OPERATOR_PARAMS = Params(k0=0.8, omega=1.2, delta=-0.4, beta11=1.5,
                          beta12=0.3, beta22=0.7)
 OPERATOR_CASES = {
     # the spin-orbit term sits in the diagonal symbol
-    "lab_fourier": (grid_1d(64), OPERATOR_PARAMS, random_spinor),
-    "tilde_sine": (SO_SINE, OPERATOR_PARAMS.with_(potential="box",
-                                                  frame="tilde"), random_spinor),
-    # k0 != 0 on a sine x axis: `spin_orbit` through Grid.deriv, whose
-    # collocation form is antisymmetric only for fields that vanish near the
-    # boundary, hence the packets
-    "lab_sine": (SO_SINE, OPERATOR_PARAMS.with_(potential="box"), packet_spinor),
+    "lab_fourier": (grid_1d(64), OPERATOR_PARAMS),
+    "tilde_sine": (SO_SINE, OPERATOR_PARAMS.with_(potential="box", frame="tilde")),
+    # k0 != 0 on a sine x axis: the tilde operator under the gauge map
+    "lab_sine": (SO_SINE, OPERATOR_PARAMS.with_(potential="box")),
 }
 
 
 @pytest.mark.parametrize("case", OPERATOR_CASES)
 def test_hamiltonian_is_the_gradient_of_the_energy(case):
-    g, p, field = OPERATOR_CASES[case]
-    assert discretization(g, p).so_by_deriv == (case == "lab_sine")
-    phi, eta = field(g, seed=23, normalize=True), field(g, seed=24).psi
+    g, p = OPERATOR_CASES[case]
+    assert (discretization(g, p).gauge is not None) == (case == "lab_sine")
+    phi, eta = random_spinor(g, seed=23, normalize=True), random_spinor(g, seed=24).psi
     h = apply_hamiltonian(phi, p).psi
     # <psi, H psi> = mu(psi)
     assert g.cell_volume * np.vdot(phi.psi, h).real == pytest.approx(
@@ -365,18 +364,70 @@ def test_hamiltonian_is_the_gradient_of_the_energy(case):
         2.0 * g.cell_volume * np.vdot(h, eta).real, rel=1e-8)
 
 
-@pytest.mark.parametrize("case", ["lab_fourier", "lab_sine"])
+@pytest.mark.parametrize("case", ["lab_fourier"])
 def test_spin_orbit_is_the_k0_part_of_the_operator(case):
-    # on a Fourier x axis the symbol holds i*k0*dx, on a sine x axis
-    # `hamiltonian` adds `spin_orbit`: either way it is H(k0) - H(0)
-    g, p, _ = OPERATOR_CASES[case]
+    # on a Fourier x axis the symbol holds (i k0 dx, -i k0 dx): H(k0) - H(0)
+    # is that spectral derivative
+    g, p = OPERATOR_CASES[case]
     d, d0 = discretization(g, p), discretization(g, p.with_(k0=0.0))
     psi = packet_spinor(g, seed=25, normalize=True).psi
-    so = d.spin_orbit(psi)
+    so = g.deriv(psi, 0) * (1j * p.k0 * np.array([1.0, -1.0]))[:, None]
     h = d.hamiltonian(psi)
     assert np.abs(h - d0.hamiltonian(psi) - so).max() <= 1e-13 * np.abs(h).max()
     assert d.energy_parts(psi)[0] - d0.energy_parts(psi)[0] == pytest.approx(
         g.cell_volume * np.vdot(psi, so).real, rel=1e-12)
+
+
+GAUGE_CASES = {
+    "sine": (SO_SINE, OPERATOR_PARAMS.with_(potential="box")),
+    "sine_fourier": (make_grid([Axis(-6.0, 6.0, 48, "sine"), Axis(-5.0, 5.0, 32)]),
+                     OPERATOR_PARAMS),
+}
+
+
+@pytest.mark.parametrize("case", GAUGE_CASES)
+def test_lab_operator_on_a_sine_x_axis_is_the_gauged_tilde_operator(case):
+    # with G = diag(e^{ik0x}, e^{-ik0x}) and psi = G psi~:
+    # E_lab(psi) = E_tilde(psi~) - k0^2/2 |psi|^2, H_lab psi = G H_tilde psi~
+    # - k0^2/2 psi and Px_lab = Px_tilde + k0 (N1 - N2), all to round-off
+    g, p = GAUGE_CASES[case]
+    pt = p.with_(frame="tilde")
+    phi = random_spinor(g, seed=26)
+    tilde = gauge_transform(phi, p, "to_tilde")
+    half_k2 = 0.5 * p.k0**2
+    shift = half_k2 * phi.norm_sq()
+    assert energy(phi, p) == pytest.approx(energy(tilde, pt) - shift, rel=1e-13)
+    mu_t = chemical_potential(tilde, pt)
+    assert chemical_potential(phi, p) == pytest.approx(mu_t - shift, rel=1e-13)
+    h = apply_hamiltonian(phi, p).psi
+    ref = gauge_transform(apply_hamiltonian(tilde, pt), p, "to_lab").psi
+    ref -= half_k2 * phi.psi
+    assert np.abs(h - ref).max() <= 1e-13 * np.abs(h).max()
+    obs, obs_t = observables(phi, p), observables(tilde, pt)
+    assert obs.momentum[0] == pytest.approx(
+        obs_t.momentum[0] + p.k0 * (obs_t.mass1 - obs_t.mass2), abs=1e-13)
+    np.testing.assert_allclose(obs.momentum[1:], obs_t.momentum[1:], atol=1e-13)
+    assert raman_overlap(phi, p) == pytest.approx(raman_overlap(tilde, pt),
+                                                  abs=1e-13)
+    assert eigen_residual(phi, p, mu_t - half_k2) == pytest.approx(
+        eigen_residual(tilde, pt, mu_t), rel=1e-12)
+
+
+def test_lab_operator_on_a_sine_x_axis_takes_no_physical_space_derivative(
+        monkeypatch):
+    # a collocation spin-orbit term is not the energy's gradient: the
+    # operator must not call Grid.deriv (observables still does, for the
+    # sine-axis momenta)
+    def no_deriv(*args, **kwargs):
+        raise AssertionError("Grid.deriv called by the operator")
+
+    g, p = OPERATOR_CASES["lab_sine"]
+    phi = random_spinor(g, seed=27, normalize=True)
+    monkeypatch.setattr(Grid, "deriv", no_deriv)
+    energy(phi, p)
+    chemical_potential(phi, p)
+    apply_hamiltonian(phi, p)
+    eigen_residual(phi, p)
 
 
 def test_eigen_residual_exact_oscillator():
