@@ -37,6 +37,16 @@ of the complex array.  At the box grids the solvers use (n = 64, 63 nodes)
 that is about twice as fast as dstn/idstn, which pay per-call and per-axis
 overhead; the O(n) cost per sample loses to the FFT's O(log n) past about
 n = 96, so larger and mixed grids keep fftn/dstn.
+
+Transform plans
+---------------
+Which array axes a transform runs over depends only on the grid and the
+rank of the array (the batch axes lead).  `Grid._plan(ndim)` works out the
+(Fourier axes, sine axes) pair and the dense-sine transpose order once per
+rank and keeps them, so a call does no per-call axis bookkeeping.  A lone
+Fourier axis (every 1D Fourier grid, and the Fourier axis of a mixed grid)
+goes through `fft`/`ifft`, which give the same bits as `fftn`/`ifftn` on one
+axis without their n-dimensional set-up.
 """
 
 from __future__ import annotations
@@ -118,6 +128,7 @@ class Grid:
         self.shape = tuple(a.size for a in axes)
         self.spacing = tuple(a.h for a in axes)
         self.cell_volume = float(np.prod(self.spacing))
+        self._plans = {}
 
     def __eq__(self, other):
         return isinstance(other, Grid) and self.axes == other.axes
@@ -197,9 +208,18 @@ class Grid:
                 f"field shape {field.shape} does not match grid shape {self.shape}"
             )
 
-    def _spatial_axes(self, arr: np.ndarray, basis: str):
-        lead = arr.ndim - self.dim
-        return tuple(lead + i for i, a in enumerate(self.axes) if a.basis == basis)
+    def _plan(self, ndim: int):
+        """(Fourier axes, sine axes, dense-pass transpose order) of a rank-ndim
+        array, worked out on the first call per rank."""
+        plan = self._plans.get(ndim)
+        if plan is None:
+            lead = ndim - self.dim
+            plan = tuple(
+                tuple(lead + i for i, a in enumerate(self.axes) if a.basis == b)
+                for b in (FOURIER, SINE)
+            ) + ((*range(lead), ndim - 1, *range(lead, ndim - 1)),)
+            self._plans[ndim] = plan
+        return plan
 
     def to_modes(self, arr: np.ndarray, overwrite: bool = False) -> np.ndarray:
         """Unscaled whole-array transform over the trailing `dim` axes.
@@ -207,13 +227,12 @@ class Grid:
         Leading axes (such as the component axis of a stacked spinor) are
         batch axes.  `overwrite` lets the transform reuse `arr`'s storage.
         """
+        fourier, sine, order = self._plan(arr.ndim)
         if self._dense_sine is not None:
-            return _apply_per_axis(arr, self._dense_sine[0])
+            return _apply_per_axis(arr, self._dense_sine[0], order)
         out = arr
-        fourier = self._spatial_axes(arr, FOURIER)
-        sine = self._spatial_axes(arr, SINE)
         if fourier:
-            out = _fft.fftn(out, axes=fourier, overwrite_x=overwrite)
+            out = _fourier(_fft.fft, _fft.fftn, out, fourier, overwrite)
             overwrite = True
         if sine:
             out = _fft.dstn(out, type=1, axes=sine, overwrite_x=overwrite)
@@ -221,16 +240,15 @@ class Grid:
 
     def from_modes(self, arr: np.ndarray, overwrite: bool = False) -> np.ndarray:
         """Exact inverse of `to_modes` (same batch-axis convention)."""
+        fourier, sine, order = self._plan(arr.ndim)
         if self._dense_sine is not None:
-            return _apply_per_axis(arr, self._dense_sine[1])
+            return _apply_per_axis(arr, self._dense_sine[1], order)
         out = arr
-        fourier = self._spatial_axes(arr, FOURIER)
-        sine = self._spatial_axes(arr, SINE)
         if sine:
             out = _fft.idstn(out, type=1, axes=sine, overwrite_x=overwrite)
             overwrite = True
         if fourier:
-            out = _fft.ifftn(out, axes=fourier, overwrite_x=overwrite)
+            out = _fourier(_fft.ifft, _fft.ifftn, out, fourier, overwrite)
         return out
 
     def forward(self, field: np.ndarray) -> np.ndarray:
@@ -304,19 +322,27 @@ def _dst1_pair(n: int):
     return s, s_inv
 
 
-def _apply_per_axis(arr: np.ndarray, mats) -> np.ndarray:
+def _fourier(one, many, arr, axes, overwrite):
+    """`one` (fft/ifft) over a lone axis, else `many` (fftn/ifftn): the same
+    bits on one axis, without the n-dimensional set-up."""
+    if len(axes) == 1:
+        return one(arr, axis=axes[0], overwrite_x=overwrite)
+    return many(arr, axes=axes, overwrite_x=overwrite)
+
+
+def _apply_per_axis(arr: np.ndarray, mats, order) -> np.ndarray:
     """Apply symmetric mats[i] along the i-th of the trailing len(mats) axes.
 
-    Each pass moves the last axis to the front of the trailing ones, so after
-    len(mats) passes the axes are back in order.  A complex array is
-    multiplied through its float64 view, one real product instead of a
-    complex one.  Never writes into `arr`.
+    Each pass transposes by `order`, which moves the last axis to the front
+    of the trailing ones, so after len(mats) passes the axes are back in
+    order.  A complex array is multiplied through its float64 view, one real
+    product instead of a complex one.  Never writes into `arr`.
     """
     out = np.asarray(arr, dtype=np.complex128 if np.iscomplexobj(arr)
                      else np.float64)
     lead = out.ndim - len(mats)
     for mat in reversed(mats):
-        t = np.ascontiguousarray(np.moveaxis(out, -1, lead))
+        t = np.ascontiguousarray(out.transpose(order))
         flat = t.view(np.float64).reshape(t.shape[:lead + 1] + (-1,))
         out = np.matmul(mat, flat).view(t.dtype).reshape(t.shape)
     return out

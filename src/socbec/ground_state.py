@@ -36,7 +36,6 @@ from .model import (
     Discretization,
     Params,
     Spinor,
-    abs2,
     discretization,
     gauge_transform,
     raman_overlap,
@@ -105,7 +104,10 @@ class _Flow:
     shifts cancel at the fixed point, so none of this changes the converged
     state.  Each refresh also records the largest energy rise between
     refreshes in `energy_rise`.  Strong Raman coupling (|omega| >= 100)
-    caps tau at LARGE_OMEGA_TAU.
+    caps tau at LARGE_OMEGA_TAU.  `step` computes |psi|^2, tau*beta@|psi|^2
+    and the Raman term, and `change` the step's size, in work buffers built
+    once per flow, so a flow is used by one thread at a time (each solve
+    builds its own).
     """
 
     def __init__(self, disc: Discretization, tau: float):
@@ -121,6 +123,10 @@ class _Flow:
         self.alpha = None
         self.energy = np.inf  # no refresh yet
         self.energy_rise = 0.0
+        shape = (2,) + disc.grid.shape
+        self._rho = np.empty(shape)
+        self._tau_beta_rho = np.empty(shape)
+        self._raman = np.empty(shape, dtype=np.complex128)
 
     def guard_floor(self, mu_hat: float) -> float:
         # keeps every backward-Euler denominator >= 1
@@ -148,11 +154,21 @@ class _Flow:
         self.inv_den = 1.0 / (1.0 + tau * (self.disc.symbol + (alpha - mu_hat)))
         self.lin = 1.0 + tau * (alpha - self.disc.v)
 
+    def change(self, new: np.ndarray, psi: np.ndarray) -> float:
+        """max|new - psi| / tau, the stopping test, in the step's buffers."""
+        np.subtract(new, psi, out=self._raman)
+        return float(np.abs(self._raman, out=self._rho).max()) / self.tau
+
     def step(self, psi: np.ndarray) -> np.ndarray:
         """One backward-Euler step plus joint renormalization (new array)."""
         g = self.disc.grid
-        u = (self.lin - np.tensordot(self.tau_beta, abs2(psi), 1)) * psi
-        u -= self.tau_coupling * psi[::-1]
+        rho, tbr = self._rho, self._tau_beta_rho
+        # rho = |psi|^2, then tbr = lin - tau*beta@rho, all in the buffers
+        np.square(psi.real, out=rho)
+        rho += np.square(psi.imag, out=tbr)
+        np.dot(self.tau_beta, rho.reshape(2, -1), out=tbr.reshape(2, -1))
+        u = np.subtract(self.lin, tbr, out=tbr) * psi
+        u -= np.multiply(self.tau_coupling, psi[::-1], out=self._raman)
         c = g.to_modes(u, overwrite=True)
         c *= self.inv_den
         out = g.from_modes(c, overwrite=True)
@@ -181,7 +197,6 @@ def gfdn_step(phi: Spinor, params: Params, options: GfdnOptions) -> Spinor:
 def _solve(params: Params, grid: Grid, options: GfdnOptions) -> GroundStateResult:
     disc = discretization(grid, params)
     flow = _Flow(disc, options.tau)
-    tau = flow.tau
     psi = build_initial_state(options.init, grid, params).psi
     flow.refresh(psi)
     residual = np.inf
@@ -191,7 +206,7 @@ def _solve(params: Params, grid: Grid, options: GfdnOptions) -> GroundStateResul
     try:
         for it in range(1, options.max_iters + 1):
             new = flow.step(psi)
-            diff = float(np.abs(new - psi).max()) / tau
+            diff = flow.change(new, psi)
             psi = new
             iterations = it
             residual = diff

@@ -277,7 +277,7 @@ class Discretization:
 
     def potential(self, psi: np.ndarray) -> np.ndarray:
         """Stacked pointwise potential V + beta @ |psi|^2 (a new array)."""
-        p = np.tensordot(self.beta, abs2(psi), 1)
+        p = np.dot(self.beta, abs2(psi).reshape(2, -1)).reshape(psi.shape)
         p += self.v
         return p
 
@@ -296,7 +296,8 @@ class Discretization:
             modes2 = abs2(self.grid.to_modes(self.ungauged(psi)))
         rho = abs2(psi)
         cv = self.grid.cell_volume
-        quartic = 0.5 * cv * float(np.vdot(rho, np.tensordot(self.beta, rho, 1)))
+        beta_rho = np.dot(self.beta, rho.reshape(2, -1))
+        quartic = 0.5 * cv * float(np.vdot(rho, beta_rho))
         val = float(np.vdot(self.energy_weight, modes2))
         val += cv * float(np.vdot(self.v, rho))
         val += quartic + self.params.omega * self.overlap(psi)

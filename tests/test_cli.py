@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -336,6 +339,17 @@ max_iters = 2
 def test_shipped_configs_validate(path, capsys):
     assert main(["validate", str(path)]) == 0
     assert "ok" in capsys.readouterr().out
+
+
+def test_python_dash_m_runs_the_cli_from_the_source_tree():
+    root = Path(__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "socbec", "validate",
+         "configs/ground_state_1d.cfg"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "ok" in proc.stdout
 
 
 # ---- checkpoint starts, limit-study fits and failure paths ---------------------

@@ -263,6 +263,50 @@ def test_all_sine_transforms_match_scipy_on_both_sides_of_dense_limit(
     np.testing.assert_allclose(g.from_modes(modes), a, rtol=0, atol=1e-12)
 
 
+PLAN_GRIDS = {
+    "fourier_1d": make_grid([Axis(-8.0, 8.0, 64)]),
+    "fourier_2d": make_grid([Axis(-8.0, 8.0, 32), Axis(-6.0, 6.0, 16)]),
+    "sine_fourier": make_grid([Axis(-1.0, 1.0, 24, "sine"),
+                               Axis(-2.0, 2.0, 16)]),
+}
+
+
+@pytest.mark.parametrize("name", PLAN_GRIDS)
+def test_transform_plans_follow_the_array_rank(name):
+    # one grid serves every rank in turn, so a plan cached for one rank and
+    # reused for another shows up as a wrong transform
+    g = PLAN_GRIDS[name]
+    rng = np.random.default_rng(11)
+    for batch in [(), (2,), (3, 2), (2,), (), (3, 2)]:
+        a = rng.normal(size=batch + g.shape) + 1j * rng.normal(size=batch + g.shape)
+        lead = len(batch)
+        fourier = tuple(lead + i for i, ax in enumerate(g.axes)
+                        if ax.basis == "fourier")
+        sine = tuple(lead + i for i, ax in enumerate(g.axes)
+                     if ax.basis == "sine")
+        modes = sfft.fftn(a, axes=fourier)
+        if sine:
+            modes = sfft.dstn(modes, type=1, axes=sine)
+        back = sfft.idstn(a, type=1, axes=sine) if sine else a
+        back = sfft.ifftn(back, axes=fourier)
+        assert np.array_equal(g.to_modes(a), modes)
+        assert np.array_equal(g.from_modes(a), back)
+        assert np.array_equal(g.to_modes(a.copy(), overwrite=True), modes)
+        assert np.array_equal(g.from_modes(a.copy(), overwrite=True), back)
+
+
+def test_dense_sine_plans_follow_the_array_rank():
+    g = make_grid([Axis(-1.0, 1.0, 16, "sine"), Axis(-1.0, 2.0, 12, "sine")])
+    rng = np.random.default_rng(12)
+    for batch in [(), (2,), (3, 2), (2,), ()]:
+        a = rng.normal(size=batch + g.shape) + 1j * rng.normal(size=batch + g.shape)
+        axes = tuple(range(len(batch), a.ndim))
+        ref = sfft.dstn(a, type=1, axes=axes)
+        assert np.abs(g.to_modes(a) - ref).max() <= 1e-13 * np.abs(ref).max()
+        inv = sfft.idstn(a, type=1, axes=axes)
+        assert np.abs(g.from_modes(a) - inv).max() <= 1e-13 * np.abs(inv).max()
+
+
 # ---- the cached object --------------------------------------------------------
 
 def test_discretization_is_cached_bounded_and_read_only():

@@ -1,7 +1,9 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from socbec import (
     Axis,
@@ -20,7 +22,9 @@ from socbec import (
     solve_ground_state,
 )
 from socbec import ground_state
+from socbec.grid import _dst1_pair
 from socbec.ground_state import default_starts
+from socbec.model import abs2, discretization
 from socbec.states import build_initial_state, gaussian_profile, single_component
 
 
@@ -477,3 +481,98 @@ def test_every_solve_goes_through_the_module_hooks(monkeypatch):
     # the symmetrized reference is one more single-start solve
     study = limit_study("large_omega", lab, g, [5.0], opts)
     check(study.results, 2 + 1)
+
+
+# ---- the lean iteration is the plain one, bit for bit ---------------------------
+
+def _dense_sine_product(arr, mats):
+    # DST-I matrix per axis through the float64 view, moving the last axis to
+    # the front of the spatial ones on each pass
+    lead = arr.ndim - len(mats)
+    out = arr
+    for mat in reversed(mats):
+        t = np.ascontiguousarray(np.moveaxis(out, -1, lead))
+        flat = t.view(np.float64).reshape(t.shape[:lead + 1] + (-1,))
+        out = np.matmul(mat, flat).view(t.dtype).reshape(t.shape)
+    return out
+
+
+def reference_flow(solve_params, g, init, iters):
+    """The flow loop with the plain step expressions: tensordot, a fresh
+    temporary per operation, and fftn/ifftn over the spatial axes or the
+    DST-I matrix product.  `_Flow.refresh` supplies the shifts."""
+    if g.is_sine:
+        fwd, inv = zip(*(_dst1_pair(a.n) for a in g.axes))
+        to_modes = partial(_dense_sine_product, mats=fwd)
+        from_modes = partial(_dense_sine_product, mats=inv)
+    else:
+        axes = tuple(range(1, g.dim + 1))
+        to_modes = partial(sfft.fftn, axes=axes)
+        from_modes = partial(sfft.ifftn, axes=axes)
+    flow = ground_state._Flow(discretization(g, solve_params), GfdnOptions().tau)
+    psi = build_initial_state(init, g, solve_params).psi
+    flow.refresh(psi)
+    for it in range(1, iters + 1):
+        u = (flow.lin - np.tensordot(flow.tau_beta, abs2(psi), 1)) * psi
+        u -= flow.tau_coupling * psi[::-1]
+        c = to_modes(u)
+        c *= flow.inv_den
+        new = from_modes(c)
+        new /= np.sqrt(g.cell_volume * np.vdot(new, new).real)
+        residual = float(np.abs(new - psi).max()) / flow.tau
+        psi = new
+        flow.refresh(psi, it)
+    return psi, residual
+
+
+BIT_IDENTITY_CASES = [
+    pytest.param(gfdn_solve, grid_1d(128),
+                 Params(k0=0.05, omega=-2.0, beta11=1.0, beta12=0.5,
+                        beta22=1.0),
+                 "gaussian_opposite", id="lab_fourier_1d"),
+    pytest.param(gfdn_solve,
+                 make_grid([Axis(-8.0, 8.0, 64), Axis(-8.0, 8.0, 64)]),
+                 Params(k0=2.0, omega=50.0, beta11=10.0, beta12=10.0,
+                        beta22=10.0, gamma_x=2.0, gamma_y=2.0),
+                 "gaussian_pair", id="lab_fourier_64x64"),
+    pytest.param(besp_solve,
+                 make_grid([Axis(-1.0, 1.0, 64, "sine")] * 2),
+                 Params(k0=10.0, omega=50.0, beta11=10.0, beta12=9.0,
+                        beta22=9.0, potential="box", frame="tilde"),
+                 "gaussian_opposite", id="box_64x64"),
+]
+
+
+@pytest.mark.parametrize("solve, g, p, init", BIT_IDENTITY_CASES)
+def test_flow_iterates_are_bit_identical_to_the_plain_loop(solve, g, p, init):
+    psi, residual = reference_flow(p, g, init, 60)
+    res = solve(p, g, GfdnOptions(tol=1e-12, max_iters=60, init=init))
+    assert res.iterations == 60
+    assert np.array_equal(res.phi.psi, psi)
+    assert res.residual == residual
+
+
+@pytest.mark.parametrize("g, p", [
+    (grid_1d(64), Params(k0=0.5, omega=-1.0, beta11=2.0, beta12=1.0,
+                         beta22=2.0)),
+    (box_1d(32), Params(k0=2.0, omega=4.0, beta11=3.0, beta12=2.0,
+                        beta22=1.0, potential="box", frame="tilde")),
+], ids=["lab_fourier", "box"])
+def test_flow_step_returns_a_fresh_array(g, p):
+    # the step's work buffers live on the flow; what it returns must not
+    start = build_initial_state("gaussian_pair", g, p)
+    psi = start.psi
+    before = psi.copy()
+    flow = ground_state._Flow(discretization(g, p), 0.01)
+    flow.refresh(psi)
+    first, second = flow.step(psi), flow.step(psi)
+    assert np.array_equal(psi, before)
+    assert np.array_equal(first, second)
+    assert not np.shares_memory(first, second)
+    owned = [v for v in vars(flow).values() if isinstance(v, np.ndarray)]
+    for out in (first, second):
+        assert not np.shares_memory(out, psi)
+        assert not any(np.shares_memory(out, buf) for buf in owned)
+    opts = GfdnOptions()
+    assert np.array_equal(gfdn_step(start, p, opts).psi,
+                          gfdn_step(start, p, opts).psi)
