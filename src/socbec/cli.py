@@ -9,7 +9,9 @@ that `run` starts with, so it rejects what `run` would reject before solving.
 Exit codes: 0 success, 1 usage/parse/validation error or an output path
 that cannot be a directory, 2 run failure (any error once `run` has made its
 output directory; FAILED marker and manifest written).  --threads
-falls back to the SOCBEC_THREADS environment variable, then 1.
+falls back to the SOCBEC_THREADS environment variable, then 1; a count
+below 1, or an environment value that is not a positive integer, is a usage
+error.
 """
 
 from __future__ import annotations
@@ -22,14 +24,20 @@ from .config import ConfigError, load_config
 from .runner import EXIT_OK, EXIT_USAGE, RunFailure, preflight, run
 
 
-def _default_threads() -> int:
-    env = os.environ.get("SOCBEC_THREADS")
-    if env is None:
-        return 1
+def _threads(option: int | None) -> int:
+    """Worker count: --threads, else SOCBEC_THREADS, else 1."""
+    if option is not None:
+        if option < 1:
+            raise ValueError(f"--threads must be at least 1, got {option}")
+        return option
+    env = os.environ.get("SOCBEC_THREADS", "1")
     try:
-        return max(1, int(env))
+        count = int(env)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise ValueError(f"SOCBEC_THREADS must be a positive integer, got {env!r}")
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,7 +84,11 @@ def main(argv=None) -> int:
             print(f"warning: {args.config}: {w}", file=sys.stderr)
         print(f"{args.config}: ok ({config.mode} mode, {config.grid!r})")
         return EXIT_OK
-    threads = args.threads if args.threads is not None else _default_threads()
+    try:
+        threads = _threads(args.threads)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return run(config, out_dir=args.out, threads=threads)
     except OSError as exc:  # from making the output directory

@@ -9,7 +9,8 @@ keys, bad values and non-finite numbers are errors carrying the line number;
 so are missing required keys and the cross-key rules in `parse_config`.
 
 Each section's values are the keyword arguments of its dataclass, so unset
-keys take the library defaults (gfdn tau 0.01, tol 1e-7, evolve tau 1e-3).
+keys take the library defaults (gfdn tau 0.01, tol 1e-7, evolve tau 1e-3);
+an unset [lda] t_end is the [evolve] t_end.
 Config runs default to the multi-start gfdn init `auto`, and box potentials
 default to the tilde frame (the solver requirement).
 """
@@ -275,7 +276,8 @@ def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
 
     return ExperimentConfig(
         mode=mode, grid=grid, params=params, gfdn=gfdn, evolve=evolve,
-        initial=initial, sweep=sweep, lda=LdaSpec(**found["lda"]),
+        initial=initial, sweep=sweep,
+        lda=LdaSpec(**{"t_end": evolve.t_end, **found["lda"]}),
         out_dir=found["output"].get("dir") or "socbec_out", text=text,
     )
 

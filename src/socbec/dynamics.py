@@ -138,8 +138,8 @@ class ModePropagator:
     def apply(self, c: np.ndarray) -> np.ndarray:
         """Advance stacked spectral coefficients by tau/2 of the linear block.
 
-        The table is scale free: `c` comes from `Grid.to_modes` and goes back
-        through `Grid.from_modes`.  Returns a new array and never writes into
+        The table is scale free: `c` comes from `Grid.forward` and goes back
+        through `Grid.inverse`.  Returns a new array and never writes into
         `c`, on both the coupled and the omega = 0 branch, so a caller may
         keep `c` and advance it again.
         """
@@ -174,8 +174,8 @@ def _nonlinear_phase(psi: np.ndarray, d: Discretization,
 def _strang_step(psi: Spinor, half, core) -> Spinor:
     """One unfused Strang step: spectral `half`, pointwise `core`, `half`."""
     g = psi.grid
-    a = core(g.from_modes(half(g.to_modes(psi.psi)), overwrite=True))
-    a = g.from_modes(half(g.to_modes(a, overwrite=True)), overwrite=True)
+    a = core(g.inverse(half(g.forward(psi.psi)), overwrite=True))
+    a = g.inverse(half(g.forward(a, overwrite=True)), overwrite=True)
     return Spinor.from_stacked(g, a)
 
 
@@ -215,8 +215,8 @@ def build_box_rotation(grid: Grid, params: Params, tau: float) -> BoxRotation:
 def _tilde_kinetic_phases(grid: Grid, params: Params, dt: float) -> np.ndarray:
     """Stacked diagonal spectral phases of the tilde kinetic/detuning flow.
 
-    Scale free, like every multiplier between `Grid.to_modes` and
-    `Grid.from_modes`; unpacks as (e1, e2).
+    Scale free, like every multiplier between `Grid.forward` and
+    `Grid.inverse`; unpacks as (e1, e2).
     """
     return np.exp((-1j * dt) * discretization(grid, params).symbol)
 
@@ -267,7 +267,7 @@ class TrajectorySeries:
 def _splitting(grid: Grid, params: Params, tau: float):
     """(half, core) maps of one Strang step, TSFP or box by frame.
 
-    A step is from_modes(half(to_modes(core(from_modes(half(c)))))): `half`
+    A step is inverse(half(forward(core(inverse(half(c)))))): `half`
     advances stacked spectral coefficients by half a step of the spectral
     block and returns a new array; `core` is the pointwise part, applied in
     place to physical samples.  The `half` of 2*tau is a whole step.
@@ -297,7 +297,7 @@ def evolve(psi0: Spinor, params: Params, options: EvolveOptions,
     full = _splitting(g, params, 2.0 * options.tau)[0]
 
     def close(m):
-        return Spinor.from_stacked(g, g.from_modes(half(m), overwrite=True))
+        return Spinor.from_stacked(g, g.inverse(half(m), overwrite=True))
 
     times = [0.0]
     records = [observables(psi0, params)]
@@ -313,9 +313,9 @@ def evolve(psi0: Spinor, params: Params, options: EvolveOptions,
     pending = None
     aborted = False
     n_steps = options.steps
-    c = half(g.to_modes(psi0.psi))
+    c = half(g.forward(psi0.psi))
     for step in range(1, n_steps + 1):
-        m = g.to_modes(core(g.from_modes(c, overwrite=True)), overwrite=True)
+        m = g.forward(core(g.inverse(c, overwrite=True)), overwrite=True)
         if not np.isfinite(np.vdot(m, m)):
             aborted = True
             break

@@ -4,30 +4,27 @@ Dirichlet) bases.
 Conventions
 -----------
 Fourier axis on [lo, hi) with n nodes x_j = lo + j*h, h = (hi-lo)/n:
-    f_j = sum_k c_k exp(i*mu_k*(x_j - lo)),  mu_k = 2*pi*k/(hi-lo),
-    k = -n/2 .. n/2-1 stored in FFT order.  forward carries 1/n, inverse
-    carries no factor, so a pure mode exp(i*mu_k*(x-lo)) has unit coefficient.
+    f_j = (1/n) sum_k c_k exp(i*mu_k*(x_j - lo)),  mu_k = 2*pi*k/(hi-lo),
+    k = -n/2 .. n/2-1 stored in FFT order.
 
 Sine axis on (lo, hi) with n-1 interior nodes x_j = lo + j*h, j = 1..n-1:
-    f_j = sum_k c_k sin(mu_k*(x_j - lo)),  mu_k = pi*k/(hi-lo), k = 1..n-1.
+    f_j = (1/n) sum_k c_k sin(mu_k*(x_j - lo)),  mu_k = pi*k/(hi-lo),
+    k = 1..n-1.
 
-Parseval: quadrature(|f|^2) = W * sum_k |c_k|^2 with per-axis weight
-(hi-lo) for Fourier and (hi-lo)/2 for sine; W is the product over axes
-(`Grid.parseval_weight`).
-
-Stacked arrays and folded scale factors
----------------------------------------
-The solvers keep a spinor as one (2, *shape) array and transform it with a
-single whole-array call over the trailing spatial axes: `Grid.to_modes`
-(fftn over Fourier axes, type-I dstn over sine axes, no scale factor) and
-`Grid.from_modes`, its exact inverse (ifftn/idstn, which carry 1/n and
-1/(2n) per axis).  Because the pair is an exact inverse, a spectral
-multiplier needs no scale factor: the 1/n of `forward` and the n (Fourier)
-or 1/2 (sine) of `inverse` cancel out of every flow denominator, propagator
-table and kinetic phase.  They survive only in Parseval sums, folded into
-`Grid.mode_weight = W / N^2` (N the product of the per-axis n):
-    quadrature(|f|^2) = mode_weight * sum |to_modes(f)|^2.
-`forward`/`inverse` are the same transforms with the 1/N and N restored.
+One transform pair
+------------------
+`Grid.forward` (fftn over Fourier axes, type-I dstn over sine axes) is
+unscaled, and `Grid.inverse` (ifftn/idstn, which carry 1/n and 1/(2n) per
+axis) is its exact inverse, so a pure mode has coefficient n on its axis
+and N on the grid (N the product of the per-axis n).  Both run over the
+trailing `dim` axes of an array whose trailing shape is the grid shape;
+leading axes are batch axes, so the solvers transform a stacked (2, *shape)
+spinor with one whole-array call.  Because the pair is an exact inverse, a
+spectral multiplier needs no scale factor: none appears in any flow
+denominator, propagator table or kinetic phase.  The scale survives only in
+Parseval sums, as `Grid.mode_weight = W / N^2`, W the product of the
+per-axis weights (hi-lo) for Fourier and (hi-lo)/2 for sine:
+    quadrature(|f|^2) = mode_weight * sum |forward(f)|^2.
 
 On an all-sine grid whose every axis has n <= DENSE_SINE_MAX_N, the pair
 skips scipy and applies the type-I DST as a dense matrix per axis,
@@ -41,12 +38,13 @@ n = 96, so larger and mixed grids keep fftn/dstn.
 Transform plans
 ---------------
 Which array axes a transform runs over depends only on the grid and the
-rank of the array (the batch axes lead).  `Grid._plan(ndim)` works out the
-(Fourier axes, sine axes) pair and the dense-sine transpose order once per
-rank and keeps them, so a call does no per-call axis bookkeeping.  A lone
-Fourier axis (every 1D Fourier grid, and the Fourier axis of a mixed grid)
-goes through `fft`/`ifft`, which give the same bits as `fftn`/`ifftn` on one
-axis without their n-dimensional set-up.
+shape of the array.  `Grid._plan(shape)` checks the trailing shape and
+works out the (Fourier axes, sine axes) pair and the dense-sine transpose
+order once per array shape and keeps them, so a call does no per-call axis
+bookkeeping or shape check.  A lone Fourier axis (every 1D Fourier grid,
+and the Fourier axis of a mixed grid) goes through `fft`/`ifft`, which give
+the same bits as `fftn`/`ifftn` on one axis without their n-dimensional
+set-up.
 """
 
 from __future__ import annotations
@@ -108,10 +106,6 @@ class Axis:
             # FFT order: 0, 1, ..., n/2-1, -n/2, ..., -1
             return 2.0 * np.pi * _fft.fftfreq(self.n, d=self.h)
         return np.pi * np.arange(1, self.n) / self.length
-
-    @property
-    def parseval_weight(self) -> float:
-        return self.length if self.basis == FOURIER else 0.5 * self.length
 
 
 class Grid:
@@ -181,18 +175,12 @@ class Grid:
             out = out + self.mu(i) ** 2
         return out
 
-    @property
-    def parseval_weight(self) -> float:
-        return float(np.prod([a.parseval_weight for a in self.axes]))
-
     @cached_property
     def mode_weight(self) -> float:
-        """Parseval weight of unscaled `to_modes` coefficients: W / N^2."""
-        return self.parseval_weight / self._n_prod**2
-
-    @cached_property
-    def _n_prod(self) -> float:
-        return float(np.prod([a.n for a in self.axes]))
+        """Parseval weight of `forward` coefficients: W / N^2."""
+        w = np.prod([a.length if a.basis == FOURIER else 0.5 * a.length
+                     for a in self.axes])
+        return float(w) / float(np.prod([a.n for a in self.axes]))**2
 
     @cached_property
     def _dense_sine(self):
@@ -202,32 +190,35 @@ class Grid:
             return None
         return tuple(zip(*(_dst1_pair(a.n) for a in self.axes)))
 
-    def _check_shape(self, field: np.ndarray):
-        if field.shape != self.shape:
+    def _check_shape(self, shape, batch: bool = False):
+        """`shape` must be the grid shape, or end in it when `batch`."""
+        if (shape[len(shape) - self.dim:] if batch else shape) != self.shape:
             raise ValueError(
-                f"field shape {field.shape} does not match grid shape {self.shape}"
+                f"field shape {shape} does not match grid shape {self.shape}"
             )
 
-    def _plan(self, ndim: int):
-        """(Fourier axes, sine axes, dense-pass transpose order) of a rank-ndim
-        array, worked out on the first call per rank."""
-        plan = self._plans.get(ndim)
+    def _plan(self, shape):
+        """(Fourier axes, sine axes, dense-pass transpose order) of an array of
+        `shape`, checked and worked out on the first call per shape."""
+        plan = self._plans.get(shape)
         if plan is None:
+            self._check_shape(shape, batch=True)
+            ndim = len(shape)
             lead = ndim - self.dim
             plan = tuple(
                 tuple(lead + i for i, a in enumerate(self.axes) if a.basis == b)
                 for b in (FOURIER, SINE)
             ) + ((*range(lead), ndim - 1, *range(lead, ndim - 1)),)
-            self._plans[ndim] = plan
+            self._plans[shape] = plan
         return plan
 
-    def to_modes(self, arr: np.ndarray, overwrite: bool = False) -> np.ndarray:
-        """Unscaled whole-array transform over the trailing `dim` axes.
+    def forward(self, arr: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """Unscaled transform over the trailing `dim` axes.
 
         Leading axes (such as the component axis of a stacked spinor) are
         batch axes.  `overwrite` lets the transform reuse `arr`'s storage.
         """
-        fourier, sine, order = self._plan(arr.ndim)
+        fourier, sine, order = self._plan(arr.shape)
         if self._dense_sine is not None:
             return _apply_per_axis(arr, self._dense_sine[0], order)
         out = arr
@@ -238,9 +229,9 @@ class Grid:
             out = _fft.dstn(out, type=1, axes=sine, overwrite_x=overwrite)
         return out
 
-    def from_modes(self, arr: np.ndarray, overwrite: bool = False) -> np.ndarray:
-        """Exact inverse of `to_modes` (same batch-axis convention)."""
-        fourier, sine, order = self._plan(arr.ndim)
+    def inverse(self, arr: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """Exact inverse of `forward` (same batch-axis convention)."""
+        fourier, sine, order = self._plan(arr.shape)
         if self._dense_sine is not None:
             return _apply_per_axis(arr, self._dense_sine[1], order)
         out = arr
@@ -251,22 +242,6 @@ class Grid:
             out = _fourier(_fft.ifft, _fft.ifftn, out, fourier, overwrite)
         return out
 
-    def forward(self, field: np.ndarray) -> np.ndarray:
-        """Physical samples -> spectral coefficients (1/n on each Fourier axis)."""
-        field = np.asarray(field)
-        self._check_shape(field)
-        out = self.to_modes(field.astype(np.complex128), overwrite=True)
-        out /= self._n_prod
-        return out
-
-    def inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        """Spectral coefficients -> physical samples."""
-        coeffs = np.asarray(coeffs)
-        self._check_shape(coeffs)
-        out = self.from_modes(coeffs.astype(np.complex128), overwrite=True)
-        out *= self._n_prod
-        return out
-
     def deriv(self, field: np.ndarray, axis: int) -> np.ndarray:
         """Spectral first derivative along spatial `axis`.
 
@@ -274,10 +249,7 @@ class Grid:
         it (a stacked spinor).
         """
         field = np.asarray(field)
-        if field.shape[field.ndim - self.dim:] != self.shape:
-            raise ValueError(
-                f"field shape {field.shape} does not match grid shape {self.shape}"
-            )
+        self._check_shape(field.shape, batch=True)
         a = self.axes[axis]
         ax = field.ndim - self.dim + axis
         mu = self.wavenumbers[axis].reshape((-1,) + (1,) * (self.dim - 1 - axis))
@@ -299,12 +271,12 @@ class Grid:
 
     def laplacian(self, field: np.ndarray) -> np.ndarray:
         """Spectral Laplacian (all axes)."""
-        return self.inverse(-self.mu2 * self.forward(field))
+        return self.inverse(-self.mu2 * self.forward(field), overwrite=True)
 
     def quadrature(self, samples: np.ndarray):
         """h^d * sum(samples); sine axes sum interior nodes only."""
         samples = np.asarray(samples)
-        self._check_shape(samples)
+        self._check_shape(samples.shape)
         total = samples.sum() * self.cell_volume
         if np.iscomplexobj(samples):
             return complex(total)

@@ -94,8 +94,8 @@ def lab_view(result: GroundStateResult, params: Params):
 class _Flow:
     """Per-solve shifts and backward-Euler tables on a shared discretization.
 
-    The flow works on stacked (2, *shape) arrays.  `Grid.to_modes` and
-    `Grid.from_modes` are an exact inverse pair, so the denominators need no
+    The flow works on stacked (2, *shape) arrays.  `Grid.forward` and
+    `Grid.inverse` are an exact inverse pair, so the denominators need no
     transform scale factor.  `refresh` is the one shift policy: the
     stabilization shift alpha is the running estimate 0.5*max(V + beta*rho),
     refreshed every SHIFT_UPDATE_EVERY iterations; the chemical-potential
@@ -169,9 +169,9 @@ class _Flow:
         np.dot(self.tau_beta, rho.reshape(2, -1), out=tbr.reshape(2, -1))
         u = np.subtract(self.lin, tbr, out=tbr) * psi
         u -= np.multiply(self.tau_coupling, psi[::-1], out=self._raman)
-        c = g.to_modes(u, overwrite=True)
+        c = g.forward(u, overwrite=True)
         c *= self.inv_den
-        out = g.from_modes(c, overwrite=True)
+        out = g.inverse(c, overwrite=True)
         norm_sq = g.cell_volume * np.vdot(out, out).real
         if not np.isfinite(norm_sq):
             raise FloatingPointError(

@@ -185,7 +185,7 @@ class Discretization:
                    |mu|^2/2 -+ k0*mu_x (lab frame, Fourier x axis) +- delta/2,
                    minus k0^2/2 where `gauge` is set
         energy_weight  mode_weight * symbol, so the quadratic part of the
-                   energy is sum(energy_weight * |to_modes(G^-1 psi)|^2)
+                   energy is sum(energy_weight * |forward(G^-1 psi)|^2)
         gauge      stacked G = (e^{ik0x}, e^{-ik0x}) in the lab frame with
                    k0 != 0 on a sine x axis, where the spectral block acts on
                    G^-1 psi (the tilde-frame field); None elsewhere (G = 1)
@@ -289,11 +289,11 @@ class Discretization:
         """(energy, quartic integral) of stacked psi.
 
         The kinetic, diagonal spin-orbit and detuning terms are the Parseval
-        sum over modes2 = |to_modes(G^-1 psi)|^2, built here unless the
+        sum over modes2 = |forward(G^-1 psi)|^2, built here unless the
         caller already has it.
         """
         if modes2 is None:
-            modes2 = abs2(self.grid.to_modes(self.ungauged(psi)))
+            modes2 = abs2(self.grid.forward(self.ungauged(psi)))
         rho = abs2(psi)
         cv = self.grid.cell_volume
         beta_rho = np.dot(self.beta, rho.reshape(2, -1))
@@ -305,9 +305,9 @@ class Discretization:
 
     def hamiltonian(self, psi: np.ndarray) -> np.ndarray:
         """H(psi) psi of stacked psi, the Euler-Lagrange operator of the energy."""
-        c = self.grid.to_modes(self.ungauged(psi))
+        c = self.grid.forward(self.ungauged(psi))
         c *= self.symbol
-        h = self.grid.from_modes(c, overwrite=True)
+        h = self.grid.inverse(c, overwrite=True)
         if self.gauge is not None:
             h *= self.gauge
         h += self.potential(psi) * psi
@@ -387,7 +387,7 @@ def observables(phi: Spinor, params: Params) -> Observables:
     d = discretization(g, params)
     psi = phi.psi
     psi_t = d.ungauged(psi)
-    modes2 = abs2(g.to_modes(psi_t))
+    modes2 = abs2(g.forward(psi_t))
     e, quartic = d.energy_parts(psi, modes2)
     n1, n2 = phi.component_masses()
     total = phi.density()

@@ -101,11 +101,6 @@ def _evolve_options(config: ExperimentConfig) -> EvolveOptions:
                          snapshot_every=spec.snapshot_every)
 
 
-def _lda_t_end(config: ExperimentConfig) -> float:
-    lda_t_end = config.lda.t_end
-    return lda_t_end if lda_t_end is not None else config.evolve.t_end
-
-
 def _shift_steps(grid, offset):
     """Whole-cell shifts per axis for shifted initial data."""
     shifts = []
@@ -154,7 +149,7 @@ def preflight(config: ExperimentConfig) -> list:
                 raise RunFailure("com_compare needs lab-frame harmonic-trap "
                                  "dynamics")
             try:
-                step_count(cfg.lda.tau, _lda_t_end(cfg))
+                step_count(cfg.lda.tau, cfg.lda.t_end)
             except ValueError as exc:
                 raise RunFailure(f"[lda] {exc}") from None
         use(cfg.params, flow=False)
@@ -337,14 +332,13 @@ class _Run:
         inputs = ComClosedFormInputs.from_state(psi0, cfg.params)
         xc_closed = xc_closed_form(inputs, times)
 
-        t_end = _lda_t_end(cfg)
         lda_thm = lda_ode_solve(
             lda_initial_from_imbalance(obs0.xc[0], obs0.delta_n, cfg.params),
-            cfg.params, cfg.lda.tau, t_end,
+            cfg.params, cfg.lda.tau, cfg.lda.t_end,
         )
         lda_meas = lda_ode_solve(
             LdaState(xc=float(obs0.xc[0]), px=float(obs0.momentum[0])),
-            cfg.params, cfg.lda.tau, t_end,
+            cfg.params, cfg.lda.tau, cfg.lda.t_end,
         )
         header = ["t", "xc_pde", "xc_closed_form", "xc_lda", "xc_lda_measured"]
         rows = []

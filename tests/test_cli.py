@@ -195,11 +195,46 @@ t_end = 0.2
     assert "max_dev_closed_form" in manifest
 
 
+def test_manifest_shows_the_lda_t_end_the_ode_runs_to(tmp_path):
+    # an unset [lda] t_end is the [evolve] t_end (0.05 here)
+    text = DYN_CONFIG.replace("mode = dynamics", "mode = com_compare")
+    out = tmp_path / "out"
+    assert main(["run", write(tmp_path, "com.cfg", text), "--out", str(out)]) == 0
+    manifest = (out / "run_manifest.txt").read_text().splitlines()
+    assert "lda LdaSpec(tau=0.001, t_end=0.05)" in manifest
+    out = tmp_path / "set"
+    text += "[lda]\nt_end = 0.02\n"
+    assert main(["run", write(tmp_path, "set.cfg", text), "--out", str(out)]) == 0
+    manifest = (out / "run_manifest.txt").read_text().splitlines()
+    assert "lda LdaSpec(tau=0.001, t_end=0.02)" in manifest
+
+
 def test_env_threads_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("SOCBEC_THREADS", "2")
     cfg = write(tmp_path, "gs.cfg", GS_CONFIG)
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("argv, env, needle", [
+    pytest.param(["--threads", "-3"], None, "--threads", id="flag_negative"),
+    pytest.param(["--threads", "0"], None, "--threads", id="flag_zero"),
+    pytest.param([], "banana", "SOCBEC_THREADS", id="env_text"),
+    pytest.param([], "0", "SOCBEC_THREADS", id="env_zero"),
+    pytest.param([], "-2", "SOCBEC_THREADS", id="env_negative"),
+])
+def test_bad_thread_count_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                           argv, env, needle):
+    if env is None:
+        monkeypatch.delenv("SOCBEC_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("SOCBEC_THREADS", env)
+    cfg = write(tmp_path, "gs.cfg", GS_CONFIG)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err
+    assert not out.exists()
 
 
 def test_box_ground_state_writes_lab_companion(tmp_path):

@@ -46,7 +46,8 @@ def test_forward_picks_out_single_fourier_mode():
     g = make_grid([Axis(-2.0, 2.0, 16)])
     x = g.coordinate(0)
     mu3 = g.wavenumbers[0][3]
-    c = g.forward(np.exp(1j * mu3 * (x + 2.0)))
+    # the unscaled forward gives a pure mode the coefficient N = n
+    c = g.forward(np.exp(1j * mu3 * (x + 2.0))) / 16
     expected = np.zeros(16)
     expected[3] = 1.0
     np.testing.assert_allclose(c, expected, atol=1e-14)
@@ -55,7 +56,7 @@ def test_forward_picks_out_single_fourier_mode():
 def test_forward_picks_out_single_sine_mode():
     g = make_grid([Axis(-1.0, 1.0, 16, "sine")])
     x = g.coordinate(0)
-    c = g.forward(np.sin(np.pi * (x + 1.0) / 2.0))
+    c = g.forward(np.sin(np.pi * (x + 1.0) / 2.0)) / 16
     expected = np.zeros(15)
     expected[0] = 1.0
     np.testing.assert_allclose(c, expected, atol=1e-14)
@@ -73,6 +74,40 @@ def test_transform_round_trip(axes):
     rng = np.random.default_rng(7)
     f = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
     np.testing.assert_allclose(g.inverse(g.forward(f)), f, atol=1e-12)
+
+
+PAIR_GRIDS = {
+    "fourier": [Axis(-16.0, 16.0, 128)],
+    "dense_sine": [Axis(-1.0, 1.0, 16, "sine"), Axis(-1.0, 2.0, 12, "sine")],
+    "large_sine": [Axis(-1.0, 1.0, 130, "sine")],
+    "mixed": [Axis(-4.0, 4.0, 16), Axis(-1.0, 1.0, 16, "sine")],
+}
+
+
+@pytest.mark.parametrize("name", PAIR_GRIDS)
+def test_transform_pair_takes_leading_batch_axes(name):
+    g = make_grid(PAIR_GRIDS[name])
+    rng = np.random.default_rng(5)
+    f = rng.normal(size=(3, 2) + g.shape) + 1j * rng.normal(size=(3, 2) + g.shape)
+    c = g.forward(f)
+    assert c.shape == f.shape
+    for i in range(3):
+        for j in range(2):
+            np.testing.assert_allclose(c[i, j], g.forward(f[i, j]),
+                                       rtol=0, atol=1e-12)
+    np.testing.assert_allclose(g.inverse(c), f, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", PAIR_GRIDS)
+def test_transform_pair_rejects_a_wrong_trailing_shape(name):
+    g = make_grid(PAIR_GRIDS[name])
+    wrong = g.shape[:-1] + (g.shape[-1] + 1,)
+    for shape in (wrong, (2,) + wrong, g.shape[1:], g.shape + (2,)):
+        if not shape:
+            continue
+        for transform in (g.forward, g.inverse):
+            with pytest.raises(ValueError, match="does not match grid shape"):
+                transform(np.ones(shape, dtype=complex))
 
 
 def test_quadrature_constant_and_gaussian():
@@ -96,7 +131,7 @@ def test_parseval(basis):
     rng = np.random.default_rng(11)
     f = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
     lhs = g.quadrature(np.abs(f) ** 2)
-    rhs = g.parseval_weight * np.sum(np.abs(g.forward(f)) ** 2)
+    rhs = g.mode_weight * np.sum(np.abs(g.forward(f)) ** 2)
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
@@ -141,7 +176,7 @@ def test_3d_round_trip_and_parseval():
     f = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
     np.testing.assert_allclose(g.inverse(g.forward(f)), f, atol=1e-12)
     lhs = g.quadrature(np.abs(f) ** 2)
-    rhs = g.parseval_weight * np.sum(np.abs(g.forward(f)) ** 2)
+    rhs = g.mode_weight * np.sum(np.abs(g.forward(f)) ** 2)
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 

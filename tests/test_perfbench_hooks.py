@@ -5,7 +5,8 @@ looked up at call time.
 `runner`, `ground_state`, `dynamics` and `Grid` by name.  A refactor that
 drops or renames one, or binds it where the wrapper cannot reach it, leaves
 the rest of the suite green while the traced benchmark breaks or reads 0.
-This runs one traced benchmark invocation of a small com_compare config.
+This runs one traced benchmark invocation of a small com_compare config on
+a Fourier grid and one of a small box ground state on a sine grid.
 """
 
 import json
@@ -14,6 +15,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -39,10 +42,37 @@ kind = shifted_ground_state
 offset = 0.5
 """
 
+BOX_CONFIG = """
+[run]
+mode = ground_state
+[grid]
+x = -1, 1, 32, sine
+[params]
+omega = 5
+k0 = 1
+beta11 = 10
+beta12 = 9
+beta22 = 9
+potential = box
+"""
 
-def test_traced_benchmark_invocation_reaches_every_hook(tmp_path):
-    cfg = tmp_path / "com.cfg"
-    cfg.write_text(COM_CONFIG)
+# config, evolve steps, flow solves, checkpoints written, fewest observables
+# calls, layers that must read > 0
+CASES = {
+    "com_fourier_1d": (COM_CONFIG, 20, 1, 1, 3,
+                       ("states.initial_s", "dynamics.setup_s",
+                        "dynamics.record_s", "com.lda_ode_s",
+                        "config.parse_s")),
+    "box_sine_1d": (BOX_CONFIG, 0, 2, 2, 1,
+                    ("states.initial_s", "config.parse_s")),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_traced_benchmark_invocation_reaches_every_hook(tmp_path, case):
+    text, steps, solves, saves, records, timed_layers = CASES[case]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
     result = tmp_path / "result.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1")
@@ -57,13 +87,17 @@ def test_traced_benchmark_invocation_reaches_every_hook(tmp_path):
     assert data["rc"] == 0
     # child.py's own probes: solver, flow-iteration and evolve counters
     assert data["gs_s"] > 0 and data["flow_iters"] > 0
-    assert data["evolve_steps"] == 20
+    assert data["evolve_steps"] == steps
     # tracer.py's spans: every layer of this run was seen through its hook
     layers = data["layers"]
-    assert layers["ground_state.solves"] == layers["ground_state.results"] == 1
+    assert layers["ground_state.results"] == 1
+    assert layers["ground_state.solves"] == solves
     assert layers["ground_state.iters"] == data["flow_iters"]
-    for key in ("states.initial_s", "dynamics.setup_s", "dynamics.record_s",
-                "com.lda_ode_s", "config.parse_s"):
+    for key in timed_layers:
         assert layers[key] > 0, key
-    assert layers["checkpoint.saves"] == 1
-    assert layers["model.observables_calls"] >= 3
+    assert layers["checkpoint.saves"] == saves
+    assert layers["model.observables_calls"] >= records
+    # every flow iteration is one forward and one inverse transform, and
+    # the solvers reach them through `Grid.forward`/`inverse`
+    assert layers["grid.transform_calls"] >= 2 * layers["ground_state.iters"]
+    assert layers["grid.bytes_computed"] > 0
