@@ -17,6 +17,7 @@ is recorded along the integration as a diagnostic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,16 +135,15 @@ def lda_conserved(xc, px, params: Params):
             - np.hypot(a, params.omega))
 
 
-def _lda_rhs(xc: float, px: float, params: Params):
-    a = 2.0 * params.k0 * px - params.delta
-    root = np.hypot(a, params.omega)
+def _lda_rhs(xc: float, px: float, k0: float, delta: float, omega: float,
+             gamma_x2: float):
+    a = 2.0 * k0 * px - delta
+    root = math.hypot(a, omega)
     if root == 0.0:
         raise ZeroDivisionError(
             "singular reduced force: omega = 0 and 2*k0*Px - delta = 0"
         )
-    dxc = px - params.k0 * a / root
-    dpx = -params.gamma_x**2 * xc
-    return dxc, dpx
+    return px - k0 * a / root, -gamma_x2 * xc
 
 
 def lda_ode_solve(initial: LdaState, params: Params, tau: float,
@@ -152,17 +152,24 @@ def lda_ode_solve(initial: LdaState, params: Params, tau: float,
 
     Records (t, xc, Px) and the conserved quantity at every step; the fixed
     step keeps the conserved-quantity drift a meaningful integrator check.
+    The loop runs on Python floats with `math.hypot`: a numpy scalar costs
+    several times a float per operation, and the two hypot functions are
+    both accurate to within an ulp (they can differ in the last bit).
     """
     n = step_count(tau, t_end)
+    coeffs = (float(params.k0), float(params.delta), float(params.omega),
+              float(params.gamma_x)**2)
+    tau = float(tau)
+    half = 0.5 * tau
     xc = np.empty(n + 1)
     px = np.empty(n + 1)
-    xc[0], px[0] = initial.xc, initial.px
-    x, p = initial.xc, initial.px
+    x, p = float(initial.xc), float(initial.px)
+    xc[0], px[0] = x, p
     for i in range(n):
-        k1x, k1p = _lda_rhs(x, p, params)
-        k2x, k2p = _lda_rhs(x + 0.5 * tau * k1x, p + 0.5 * tau * k1p, params)
-        k3x, k3p = _lda_rhs(x + 0.5 * tau * k2x, p + 0.5 * tau * k2p, params)
-        k4x, k4p = _lda_rhs(x + tau * k3x, p + tau * k3p, params)
+        k1x, k1p = _lda_rhs(x, p, *coeffs)
+        k2x, k2p = _lda_rhs(x + half * k1x, p + half * k1p, *coeffs)
+        k3x, k3p = _lda_rhs(x + half * k2x, p + half * k2p, *coeffs)
+        k4x, k4p = _lda_rhs(x + tau * k3x, p + tau * k3p, *coeffs)
         x = x + tau * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
         p = p + tau * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
         xc[i + 1], px[i + 1] = x, p

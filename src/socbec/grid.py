@@ -41,10 +41,17 @@ Which array axes a transform runs over depends only on the grid and the
 shape of the array.  `Grid._plan(shape)` checks the trailing shape and
 works out the (Fourier axes, sine axes) pair and the dense-sine transpose
 order once per array shape and keeps them, so a call does no per-call axis
-bookkeeping or shape check.  A lone Fourier axis (every 1D Fourier grid,
-and the Fourier axis of a mixed grid) goes through `fft`/`ifft`, which give
-the same bits as `fftn`/`ifftn` on one axis without their n-dimensional
-set-up.
+bookkeeping or shape check.
+
+Fourier axes call pocketfft's `c2c` kernel directly, with the arguments
+scipy's `fft`/`fftn` end in (no scaling forward, 1/N inverse, one worker),
+so the results are scipy's bits.  On the small arrays of a 1D flow step
+scipy's backend dispatch and argument checks cost more than the kernel
+(a (2, 128) `fft` takes about 8 us through scipy, 3 us direct).  The dtype
+rule is scipy's for the arrays the solvers pass: float64 and complex128 go
+in as they are (views and non-contiguous strides included), anything else
+is cast to complex128 first.  The kernel is a private scipy module; there
+is no fallback, so `import socbec` fails if it is missing.
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy import fft as _fft
+from scipy.fft._pocketfft.pypocketfft import c2c as _pocketfft_c2c
 
 FOURIER = "fourier"
 SINE = "sine"
@@ -223,7 +231,7 @@ class Grid:
             return _apply_per_axis(arr, self._dense_sine[0], order)
         out = arr
         if fourier:
-            out = _fourier(_fft.fft, _fft.fftn, out, fourier, overwrite)
+            out = _c2c(out, fourier, True, overwrite)
             overwrite = True
         if sine:
             out = _fft.dstn(out, type=1, axes=sine, overwrite_x=overwrite)
@@ -239,7 +247,7 @@ class Grid:
             out = _fft.idstn(out, type=1, axes=sine, overwrite_x=overwrite)
             overwrite = True
         if fourier:
-            out = _fourier(_fft.ifft, _fft.ifftn, out, fourier, overwrite)
+            out = _c2c(out, fourier, False, overwrite)
         return out
 
     def deriv(self, field: np.ndarray, axis: int) -> np.ndarray:
@@ -254,9 +262,9 @@ class Grid:
         ax = field.ndim - self.dim + axis
         mu = self.wavenumbers[axis].reshape((-1,) + (1,) * (self.dim - 1 - axis))
         if a.basis == FOURIER:
-            c = _fft.fft(field.astype(np.complex128), axis=ax)
+            c = _c2c(field.astype(np.complex128), (ax,), True, True)
             c *= 1j * mu
-            return _fft.ifft(c, axis=ax, overwrite_x=True)
+            return _c2c(c, (ax,), False, True)
         # sine series differentiates into a cosine series; evaluate it at the
         # interior nodes through a DCT-I padded with the two boundary zeros
         c = _fft.dst(field.astype(np.complex128), type=1, axis=ax) / a.n
@@ -294,12 +302,17 @@ def _dst1_pair(n: int):
     return s, s_inv
 
 
-def _fourier(one, many, arr, axes, overwrite):
-    """`one` (fft/ifft) over a lone axis, else `many` (fftn/ifftn): the same
-    bits on one axis, without the n-dimensional set-up."""
-    if len(axes) == 1:
-        return one(arr, axis=axes[0], overwrite_x=overwrite)
-    return many(arr, axes=axes, overwrite_x=overwrite)
+def _c2c(arr, axes, forward: bool, overwrite: bool):
+    """fftn (`forward`) or ifftn over `axes` as one pocketfft kernel call.
+
+    float64 and complex128 pass through as they are; any other dtype is cast
+    to complex128.  `overwrite` writes the result into a complex `arr`.
+    """
+    if arr.dtype != np.complex128 and arr.dtype != np.float64:
+        arr = arr.astype(np.complex128)
+        overwrite = True
+    out = arr if overwrite and arr.dtype == np.complex128 else None
+    return _pocketfft_c2c(arr, axes, forward, 0 if forward else 2, out, 1)
 
 
 def _apply_per_axis(arr: np.ndarray, mats, order) -> np.ndarray:

@@ -179,7 +179,10 @@ class _Flow:
             )
         if norm_sq == 0.0:
             raise ValueError("cannot normalize a zero spinor")
-        out /= np.sqrt(norm_sq)
+        # numpy divides a complex array by a real scalar by multiplying with
+        # its reciprocal, so this gives the bits of `/=` (up to the sign of
+        # an exact -0 entry) without the complex division
+        out *= 1.0 / np.sqrt(norm_sq)
         return out
 
 

@@ -185,6 +185,63 @@ def test_lda_singular_force_reported():
         lda_ode_solve(LdaState(xc=1.0, px=0.0), p, 1e-3, 1.0)
 
 
+def numpy_scalar_lda(x, p, params, tau, n):
+    """The RK4 loop on numpy scalars with np.hypot, as a reference."""
+    def rhs(xc, px):
+        a = 2.0 * params.k0 * px - params.delta
+        root = np.hypot(a, params.omega)
+        return px - params.k0 * a / root, -params.gamma_x**2 * xc
+
+    xc, pc = np.empty(n + 1), np.empty(n + 1)
+    xc[0], pc[0] = x, p
+    for i in range(n):
+        k1x, k1p = rhs(x, p)
+        k2x, k2p = rhs(x + 0.5 * tau * k1x, p + 0.5 * tau * k1p)
+        k3x, k3p = rhs(x + 0.5 * tau * k2x, p + 0.5 * tau * k2p)
+        k4x, k4p = rhs(x + tau * k3x, p + tau * k3p)
+        x = x + tau * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
+        p = p + tau * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
+        xc[i + 1], pc[i + 1] = x, p
+    return xc, pc
+
+
+# configs/com_compare_2d.cfg: its parameters, and x_c, delta_N and P_x of the
+# shifted ground state, as its observables.csv prints them at t = 0
+COM_2D = Params(k0=2.0, omega=50.0, beta11=10.0, beta12=10.0, beta22=10.0,
+                gamma_x=2.0, gamma_y=2.0)
+COM_2D_STARTS = [
+    lda_initial_from_imbalance(1.9999999999999976, -5.9729998724833422e-14,
+                               COM_2D),
+    LdaState(xc=1.9999999999999976, px=-8.0918605149804534e-13),
+]
+
+
+@pytest.mark.parametrize("start", COM_2D_STARTS, ids=["imbalance", "measured"])
+def test_lda_solve_is_the_numpy_scalar_loop_on_com_2d(start):
+    series = lda_ode_solve(start, COM_2D, 1e-3, 20.0)
+    xc, px = numpy_scalar_lda(start.xc, start.px, COM_2D, 1e-3, 20000)
+    assert np.array_equal(series.xc, xc)
+    assert np.array_equal(series.px, px)
+    assert np.array_equal(series.conserved, lda_conserved(xc, px, COM_2D))
+
+
+def test_lda_solve_follows_the_numpy_scalar_loop():
+    # math.hypot and np.hypot may differ in the last bit, so away from
+    # com_2d the two loops agree to round-off accumulated over the steps
+    rng = np.random.default_rng(5)
+    n = 2000
+    for _ in range(4):
+        x0, p0 = rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0)
+        params = Params(k0=rng.uniform(0.2, 2.0), omega=rng.uniform(1.0, 10.0),
+                        delta=rng.uniform(-1.0, 1.0), gamma_x=rng.uniform(0.5, 2.0))
+        series = lda_ode_solve(LdaState(xc=x0, px=p0), params, 1e-3, n * 1e-3)
+        xc, px = numpy_scalar_lda(x0, p0, params, 1e-3, n)
+        scale = max(1.0, np.abs(xc).max(), np.abs(px).max())
+        tol = 10 * n * np.finfo(float).eps * scale
+        assert np.abs(series.xc - xc).max() <= tol
+        assert np.abs(series.px - px).max() <= tol
+
+
 def test_lda_conserved_formula():
     p = Params(gamma_x=2.0, omega=3.0, k0=1.0, delta=0.5)
     val = lda_conserved(1.0, 2.0, p)

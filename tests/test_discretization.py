@@ -295,6 +295,69 @@ def test_transform_plans_follow_the_array_rank(name):
         assert np.array_equal(g.inverse(a.copy(), overwrite=True), back)
 
 
+FOURIER_3D = make_grid([Axis(-4.0, 4.0, 8), Axis(-3.0, 3.0, 6),
+                        Axis(-2.0, 2.0, 4)])
+
+
+def fourier_contract_inputs(g, rng):
+    """(name, array) pairs of the layouts the direct kernel call must take
+    as scipy does: real, a reversed-component view, a transposed
+    non-contiguous array and a plain complex one."""
+    def cplx(shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    stacked = cplx((2,) + g.shape)
+    transposed = cplx(g.shape[::-1] + (2,)).T
+    assert not transposed.flags.c_contiguous
+    return [("real", rng.normal(size=(2,) + g.shape)),
+            ("reversed", stacked[::-1]),
+            ("transposed", transposed),
+            ("complex", stacked)]
+
+
+@pytest.mark.parametrize("g", [FOURIER_1D, FOURIER_2D, FOURIER_3D],
+                         ids=["1d", "2d", "3d"])
+def test_fourier_transforms_are_scipys_bits(g):
+    rng = np.random.default_rng(13)
+    axes = tuple(range(1, g.dim + 1))
+    for name, a in fourier_contract_inputs(g, rng):
+        before = a.tobytes()
+        assert np.array_equal(g.forward(a), sfft.fftn(a, axes=axes)), name
+        assert np.array_equal(g.inverse(a), sfft.ifftn(a, axes=axes)), name
+        assert a.tobytes() == before, name
+    a = fourier_contract_inputs(g, rng)[-1][1]
+    modes = sfft.fftn(a, axes=axes)
+    out = g.forward(a, overwrite=True)
+    assert np.shares_memory(out, a)
+    assert np.array_equal(out, modes)
+    back = sfft.ifftn(modes, axes=axes)
+    out = g.inverse(modes, overwrite=True)
+    assert np.shares_memory(out, modes)
+    assert np.array_equal(out, back)
+    # any dtype other than float64/complex128 is cast to complex128
+    single = rng.normal(size=g.shape).astype(np.float32)
+    out = g.forward(single)
+    assert out.dtype == np.complex128
+    assert np.array_equal(out, sfft.fftn(single.astype(np.complex128)))
+
+
+@pytest.mark.parametrize("g", [FOURIER_1D, FOURIER_2D, FOURIER_3D,
+                               PLAN_GRIDS["sine_fourier"]],
+                         ids=["1d", "2d", "3d", "sine_fourier"])
+def test_fourier_deriv_is_the_fft_expression(g):
+    rng = np.random.default_rng(14)
+    field = rng.normal(size=(2,) + g.shape) + 1j * rng.normal(size=(2,) + g.shape)
+    for i, a in enumerate(g.axes):
+        if a.basis != "fourier":
+            continue
+        mu = g.wavenumbers[i].reshape((-1,) + (1,) * (g.dim - 1 - i))
+        for f in (field, field.real, field[0]):
+            ax = f.ndim - g.dim + i
+            c = sfft.fft(f.astype(np.complex128), axis=ax)
+            c *= 1j * mu
+            ref = sfft.ifft(c, axis=ax, overwrite_x=True)
+            assert np.array_equal(g.deriv(f, i), ref)
+
+
 def test_dense_sine_plans_follow_the_array_rank():
     g = make_grid([Axis(-1.0, 1.0, 16, "sine"), Axis(-1.0, 2.0, 12, "sine")])
     rng = np.random.default_rng(12)

@@ -22,7 +22,7 @@ from socbec import (
     solve_ground_state,
 )
 from socbec import ground_state
-from socbec.grid import _dst1_pair
+from socbec.grid import DENSE_SINE_MAX_N, _dst1_pair
 from socbec.ground_state import default_starts
 from socbec.model import abs2, discretization
 from socbec.states import build_initial_state, gaussian_profile, single_component
@@ -500,13 +500,17 @@ def _dense_sine_product(arr, mats):
 def reference_flow(solve_params, g, init, iters):
     """The flow loop with the plain step expressions: tensordot, a fresh
     temporary per operation, and fftn/ifftn over the spatial axes or the
-    DST-I matrix product.  `_Flow.refresh` supplies the shifts."""
-    if g.is_sine:
+    DST-I matrix product (dstn/idstn past DENSE_SINE_MAX_N).
+    `_Flow.refresh` supplies the shifts."""
+    axes = tuple(range(1, g.dim + 1))
+    if g.is_sine and max(a.n for a in g.axes) <= DENSE_SINE_MAX_N:
         fwd, inv = zip(*(_dst1_pair(a.n) for a in g.axes))
         to_modes = partial(_dense_sine_product, mats=fwd)
         from_modes = partial(_dense_sine_product, mats=inv)
+    elif g.is_sine:
+        to_modes = partial(sfft.dstn, type=1, axes=axes)
+        from_modes = partial(sfft.idstn, type=1, axes=axes)
     else:
-        axes = tuple(range(1, g.dim + 1))
         to_modes = partial(sfft.fftn, axes=axes)
         from_modes = partial(sfft.ifftn, axes=axes)
     flow = ground_state._Flow(discretization(g, solve_params), GfdnOptions().tau)
@@ -540,6 +544,10 @@ BIT_IDENTITY_CASES = [
                  Params(k0=10.0, omega=50.0, beta11=10.0, beta12=9.0,
                         beta22=9.0, potential="box", frame="tilde"),
                  "gaussian_opposite", id="box_64x64"),
+    pytest.param(besp_solve, box_1d(128),
+                 Params(k0=2.0, omega=5.0, beta11=10.0, beta12=9.0,
+                        beta22=9.0, potential="box", frame="tilde"),
+                 "gaussian_opposite", id="box_1d_dstn"),
 ]
 
 
