@@ -12,6 +12,12 @@ is applied in closed form.  The trap/nonlinear phase step is exact because it
 leaves the densities unchanged.  Strang order: spectral half, pointwise full,
 spectral half.
 
+The phase e^{-i dt (V + beta rho)} costs a scalar libm cos and sin per node
+and row.  Under equal interactions (beta11 = beta12 = beta22) the two rows
+of V + beta rho are the same bits, as V1 = V2, so the TSFP core and both
+half-phases of the box core compute the phase on one row and broadcast it
+(`Discretization.potential_rows`), with the bits of the two-row phase.
+
 Tilde frame / box potential: three-part splitting on a sine (Dirichlet) grid
 - kinetic/detuning half (diagonal in sine space), trap/nonlinear phase half,
 exact Raman rotation over the full step, then the halves in reverse.  The
@@ -159,9 +165,15 @@ def _nonlinear_phase(psi: np.ndarray, d: Discretization,
                      dt: float) -> np.ndarray:
     """Exact trap/nonlinear phase flow over dt of stacked psi, in place.
 
-    The densities are invariant under the flow.
+    The densities are invariant under the flow.  cos/sin run on the first
+    `d.potential_rows` rows of p = V + beta rho and broadcast over both
+    components.  Under equal interactions that is one row: V1 = V2 and the
+    rows of beta are equal, so the rows of p are the same bits and row 0
+    gives the two-row phase exactly, at half the cos/sin cost.  Row 0 is
+    sliced from the two-row `potential`; a one-row product of its own can
+    round differently.
     """
-    p = d.potential(psi)
+    p = d.potential(psi)[:d.potential_rows]
     p *= -dt
     # e^{ip} as cos + i sin: the same values as np.exp(1j*p), computed faster
     rot = np.empty(p.shape, dtype=np.complex128)

@@ -189,6 +189,11 @@ class Discretization:
         gauge      stacked G = (e^{ik0x}, e^{-ik0x}) in the lab frame with
                    k0 != 0 on a sine x axis, where the spectral block acts on
                    G^-1 psi (the tilde-frame field); None elsewhere (G = 1)
+        potential_rows  1 when the two rows of `potential` agree bit for bit,
+                   else 2.  V1 = V2 always (one trap is added to both rows),
+                   so the rows agree exactly when beta11 = beta12 = beta22:
+                   both rows of beta are then equal and `np.dot` computes
+                   them with the same arithmetic
         warnings   resolution warnings
     """
 
@@ -198,6 +203,8 @@ class Discretization:
         self.grid = grid
         self.params = params
         self.beta = params.beta_matrix()
+        equal = params.beta11 == params.beta12 == params.beta22
+        self.potential_rows = 1 if equal else 2
         self.v = np.zeros((2,) + grid.shape)
         if params.potential == HARMONIC:
             gammas = params.gammas(grid.dim)

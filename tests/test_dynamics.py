@@ -456,16 +456,16 @@ def _lab_1d_case(omega):
                         beta12=2.0, beta22=1.0)
 
 
-def _lab_2d_case():
+def _lab_2d_case(beta11=2.0, beta12=1.0, beta22=2.0):
     g = make_grid([Axis(-8.0, 8.0, 32), Axis(-8.0, 8.0, 32)])
     x, y = g.coordinate(0), g.coordinate(1)
     psi0 = Spinor(g, np.exp(-((x - 0.5) ** 2 + (y - 1.0) ** 2) / 2.0),
                   0.3 * np.exp(-(x ** 2 + y ** 2) / 2.0)).normalized()
-    return psi0, Params(k0=1.0, omega=3.0, delta=0.2, beta11=2.0, beta12=1.0,
-                        beta22=2.0, gamma_x=1.5, gamma_y=1.0)
+    return psi0, Params(k0=1.0, omega=3.0, delta=0.2, beta11=beta11,
+                        beta12=beta12, beta22=beta22, gamma_x=1.5, gamma_y=1.0)
 
 
-def _box_2d_case():
+def _box_2d_case(beta11=5.0, beta12=4.0, beta22=5.0):
     g = make_grid([Axis(-1.0, 1.0, 24, "sine"), Axis(-1.0, 1.0, 24, "sine")])
     x, y = g.coordinate(0), g.coordinate(1)
 
@@ -475,16 +475,49 @@ def _box_2d_case():
 
     psi0 = Spinor(g, mode(1, 1) + 0.3j * mode(2, 1),
                   0.6 * mode(1, 2)).normalized()
-    return psi0, Params(k0=2.0, omega=4.0, delta=0.3, beta11=5.0, beta12=4.0,
-                        beta22=5.0, potential="box", frame="tilde")
+    return psi0, Params(k0=2.0, omega=4.0, delta=0.3, beta11=beta11,
+                        beta12=beta12, beta22=beta22, potential="box",
+                        frame="tilde")
 
 
+# the *_equal cases run the one-row nonlinear phase (equal interactions)
 FUSED_CASES = {
     "lab_1d": lambda: _lab_1d_case(2.0),
     "lab_1d_omega0": lambda: _lab_1d_case(0.0),
     "lab_2d": _lab_2d_case,
+    "lab_2d_equal": lambda: _lab_2d_case(10.0, 10.0, 10.0),
     "box_2d": _box_2d_case,
+    "box_2d_equal": lambda: _box_2d_case(5.0, 5.0, 5.0),
 }
+
+
+@pytest.mark.parametrize("case", ["lab_2d", "box_2d"])
+def test_nonlinear_phase_has_one_row_exactly_under_equal_interactions(case):
+    psi0, p = FUSED_CASES[case]()
+    g = psi0.grid
+    rng = np.random.default_rng(3)
+    psi = rng.normal(size=(2,) + g.shape) + 1j * rng.normal(size=(2,) + g.shape)
+    dt = 3e-3
+
+    def phase(beta11, beta12, beta22):
+        d = discretization(g, p.with_(beta11=beta11, beta12=beta12,
+                                      beta22=beta22))
+        # the two-row reference: every row of the full potential
+        pot = d.potential(psi)
+        pot *= -dt
+        want = psi.copy()
+        want *= np.cos(pot) + 1j * np.sin(pot)
+        got = dynamics._nonlinear_phase(psi.copy(), d, dt)
+        assert np.array_equal(got, want)
+        return d.potential_rows, got / psi
+
+    rows, rot = phase(10.0, 10.0, 10.0)
+    assert rows == 1
+    assert np.abs(rot[0] - rot[1]).max() <= 1e-14
+    for betas in [(11.0, 10.0, 10.0), (10.0, 11.0, 10.0), (10.0, 10.0, 11.0)]:
+        rows, rot = phase(*betas)
+        assert rows == 2
+        assert np.abs(rot[0] - rot[1]).max() > 1e-3
 
 
 def stepped_states(psi0, p, tau, n):
@@ -540,6 +573,7 @@ def test_fused_evolve_matches_single_steps(case, record_every, snapshot_every):
 
 @pytest.mark.parametrize("bad_step", [1, 5, 6])
 @pytest.mark.parametrize("case,phases_per_step", [("lab_1d", 1),
+                                                  ("lab_2d_equal", 1),
                                                   ("box_2d", 2)])
 def test_evolve_abort_keeps_last_good_state(monkeypatch, case,
                                             phases_per_step, bad_step):
