@@ -43,25 +43,85 @@ works out the (Fourier axes, sine axes) pair and the dense-sine transpose
 order once per array shape and keeps them, so a call does no per-call axis
 bookkeeping or shape check.
 
-Fourier axes call pocketfft's `c2c` kernel directly, with the arguments
-scipy's `fft`/`fftn` end in (no scaling forward, 1/N inverse, one worker),
-so the results are scipy's bits.  On the small arrays of a 1D flow step
-scipy's backend dispatch and argument checks cost more than the kernel
-(a (2, 128) `fft` takes about 8 us through scipy, 3 us direct).  The dtype
-rule is scipy's for the arrays the solvers pass: float64 and complex128 go
-in as they are (views and non-contiguous strides included), anything else
-is cast to complex128 first.  The kernel is a private scipy module; there
-is no fallback, so `import socbec` fails if it is missing.
+Every transform calls one of scipy's pocketfft kernels directly, with the
+arguments scipy's wrappers end in (no scaling forward, 1/N inverse, one
+worker), so the results are scipy's bits: fftn/ifftn is
+c2c(x, axes, forward, 0 or 2, out, 1), dstn/idstn is
+dst(x, 1, axes, 0 or 2, out, 1), and `deriv`'s sine path is dst then dct,
+type 1 with inorm 0.  As in scipy, dst/dct take a complex array as its
+`.real` and `.imag` halves.  On the small arrays of a 1D flow step scipy's
+dispatch and argument checks cost more than the kernel (a (2, 128) `fft`
+takes about 8 us through scipy, 3 us direct).  float64 and complex128 go in
+as they are (views and non-contiguous strides included).  Anything else is
+cast to complex128 on Fourier axes; on sine axes (dense path included) to
+complex128 if complex and float64 if real, so a real field keeps a real
+spectrum.
+
+The kernels come from scipy's `pypocketfft` extension, loaded from its file
+in scipy's install directory, so `scipy.fft` is never imported: its package
+init loads scipy's array-API layer, numpy.f2py included, and made
+`import socbec` take 0.54 s instead of 0.17 s (medians of 15 fresh
+interpreters on a shared 2-vCPU Xeon host).  The module keeps scipy's
+dotted name, so it is the very module `scipy.fft` uses if something else
+imports that.  There is no fallback: without the file `import socbec`
+fails with an ImportError naming the scipy version and the directory
+searched.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import fft as _fft
-from scipy.fft._pocketfft.pypocketfft import c2c as _pocketfft_c2c
+import scipy
+
+
+def _load_pocketfft(directory):
+    """scipy's pypocketfft extension module, loaded from its file in
+    `directory` without importing the `scipy.fft` package around it.
+
+    The module name must end in `pypocketfft`, the name of the extension's
+    init function; it is scipy's own dotted name.
+    """
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, "pypocketfft" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(
+                "scipy.fft._pocketfft.pypocketfft", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"scipy {scipy.__version__} has no pypocketfft "
+                      f"extension module in {directory}")
+
+
+_pocketfft = _load_pocketfft(
+    os.path.join(os.path.dirname(scipy.__file__), "fft", "_pocketfft"))
+_pocketfft_c2c = _pocketfft.c2c
+
+
+def _free_one_mapped_block():
+    """Allocate and free one 1 MiB array without touching its pages.
+
+    On a 64-interval box a stacked spinor is 127,008 bytes, just under
+    glibc's initial 128 KiB mmap threshold, so the solvers' per-step
+    temporaries come from the top of the heap.  Freeing them leaves more
+    than the initial 128 KiB trim threshold free there, so without this
+    every flow step gives pages back to the kernel and faults them in again
+    (5-8 minor faults a step, 5-8% of a box solve).  glibc raises both
+    thresholds the first time it frees a block it had mmapped, to the
+    block's size and twice that; this does so once, as importing scipy.fft
+    does as a side effect.  Under other allocators it is one short-lived
+    allocation.
+    """
+    np.empty(1 << 17)
+
+
+_free_one_mapped_block()
 
 FOURIER = "fourier"
 SINE = "sine"
@@ -112,7 +172,7 @@ class Axis:
     def wavenumbers(self) -> np.ndarray:
         if self.basis == FOURIER:
             # FFT order: 0, 1, ..., n/2-1, -n/2, ..., -1
-            return 2.0 * np.pi * _fft.fftfreq(self.n, d=self.h)
+            return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.h)
         return np.pi * np.arange(1, self.n) / self.length
 
 
@@ -234,7 +294,7 @@ class Grid:
             out = _c2c(out, fourier, True, overwrite)
             overwrite = True
         if sine:
-            out = _fft.dstn(out, type=1, axes=sine, overwrite_x=overwrite)
+            out = _r2r(_pocketfft.dst, out, sine, 0, overwrite)
         return out
 
     def inverse(self, arr: np.ndarray, overwrite: bool = False) -> np.ndarray:
@@ -244,7 +304,7 @@ class Grid:
             return _apply_per_axis(arr, self._dense_sine[1], order)
         out = arr
         if sine:
-            out = _fft.idstn(out, type=1, axes=sine, overwrite_x=overwrite)
+            out = _r2r(_pocketfft.dst, out, sine, 2, overwrite)
             overwrite = True
         if fourier:
             out = _c2c(out, fourier, False, overwrite)
@@ -267,12 +327,13 @@ class Grid:
             return _c2c(c, (ax,), False, True)
         # sine series differentiates into a cosine series; evaluate it at the
         # interior nodes through a DCT-I padded with the two boundary zeros
-        c = _fft.dst(field.astype(np.complex128), type=1, axis=ax) / a.n
+        c = _r2r(_pocketfft.dst, field.astype(np.complex128), (ax,), 0,
+                 True) / a.n
         c *= mu
         pad = [(0, 0)] * field.ndim
         pad[ax] = (1, 1)
         padded = np.pad(c, pad)
-        cos_vals = _fft.dct(padded, type=1, axis=ax, overwrite_x=True) / 2.0
+        cos_vals = _r2r(_pocketfft.dct, padded, (ax,), 0, True) / 2.0
         sl = [slice(None)] * field.ndim
         sl[ax] = slice(1, a.n)
         return cos_vals[tuple(sl)]
@@ -313,6 +374,23 @@ def _c2c(arr, axes, forward: bool, overwrite: bool):
         overwrite = True
     out = arr if overwrite and arr.dtype == np.complex128 else None
     return _pocketfft_c2c(arr, axes, forward, 0 if forward else 2, out, 1)
+
+
+def _r2r(kernel, arr, axes, inorm: int, overwrite: bool):
+    """Type-I `kernel` (pocketfft's dst or dct) over `axes`, called as
+    scipy's dstn/idstn/dst/dct call it; `overwrite` writes into `arr`."""
+    dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
+    if arr.dtype != dtype:
+        arr = arr.astype(dtype)
+        overwrite = True
+    out = arr if overwrite else None
+    if dtype is np.float64:
+        return kernel(arr, 1, axes, inorm, out, 1)
+    if out is None:
+        out = np.empty_like(arr)
+    kernel(arr.real, 1, axes, inorm, out.real, 1)
+    kernel(arr.imag, 1, axes, inorm, out.imag, 1)
+    return out
 
 
 def _apply_per_axis(arr: np.ndarray, mats, order) -> np.ndarray:

@@ -1,7 +1,18 @@
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy
+from scipy import fft as sfft
 
 from socbec import Axis, Grid, make_grid
+from socbec.grid import _load_pocketfft
+
+ROOT = Path(__file__).parent.parent
 
 
 def test_fourier_axis_nodes_and_wavenumbers():
@@ -12,6 +23,13 @@ def test_fourier_axis_nodes_and_wavenumbers():
     mu = np.sort(g.wavenumbers[0])
     expected = np.sort(2.0 * np.pi * np.arange(-64, 64) / 32.0)
     np.testing.assert_allclose(mu, expected, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [4, 8, 64, 128, 256])
+def test_fourier_wavenumbers_are_scipys_fftfreq_bits(n):
+    a = Axis(-3.0, 5.0, n)
+    assert np.array_equal(a.wavenumbers(),
+                          2.0 * np.pi * sfft.fftfreq(n, d=a.h))
 
 
 def test_sine_axis_nodes_and_wavenumbers():
@@ -185,3 +203,94 @@ def test_3d_quadrature_gaussian():
     r2 = sum(g.coordinate(i) ** 2 for i in range(3))
     val = g.quadrature(np.pi**-1.5 * np.exp(-r2))
     assert abs(val - 1.0) <= 1e-12
+
+
+# ---- the pocketfft kernels, loaded without scipy.fft ----------------------------
+
+def run_python(*args):
+    """Run a fresh interpreter on the source tree; return its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_import_socbec_leaves_scipy_fft_unloaded():
+    run_python("-c", "import socbec, sys; "
+                     "assert 'scipy.fft' not in sys.modules, 'scipy.fft'")
+
+
+def test_validate_run_leaves_scipy_fft_unloaded():
+    # -X importtime logs every module the run imports, lazy imports included;
+    # any scipy.fft submodule means the package init ran
+    proc = run_python("-X", "importtime", "-m", "socbec", "validate",
+                      "configs/ground_state_1d.cfg")
+    assert "ok" in proc.stdout
+    imported = [line.rsplit("|", 1)[-1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "socbec.grid" in imported
+    assert not [m for m in imported if m.split(".")[:2] == ["scipy", "fft"]]
+
+
+LOAD_ORDER_SCRIPT = """
+import hashlib, sys
+import numpy as np
+if sys.argv[1] == "scipy_first":
+    import scipy.fft
+from socbec import Axis, make_grid
+g = make_grid([Axis(-1.0, 1.0, 24, "sine"), Axis(-2.0, 2.0, 16)])
+rng = np.random.default_rng(3)
+a = rng.normal(size=(2,) + g.shape) + 1j * rng.normal(size=(2,) + g.shape)
+
+def digest():
+    h = hashlib.sha256()
+    for out in (g.forward(a), g.inverse(a), g.deriv(a, 0), g.deriv(a, 1)):
+        h.update(out.tobytes())
+    return h.hexdigest()
+
+print(digest())
+import scipy.fft
+import socbec.grid
+# one extension module, whichever side imported it first
+assert sys.modules["scipy.fft._pocketfft.pypocketfft"] is socbec.grid._pocketfft
+print(digest())
+"""
+
+
+def test_transform_bits_do_not_depend_on_import_order():
+    digests = set()
+    for order in ("scipy_first", "socbec_first"):
+        digests.update(run_python("-c", LOAD_ORDER_SCRIPT, order).stdout.split())
+    assert len(digests) == 1
+
+
+BOX_FLOW_FAULTS_SCRIPT = """
+import resource
+from socbec import Axis, GfdnOptions, Params, besp_solve, make_grid
+g = make_grid([Axis(-1.0, 1.0, 64, "sine")] * 2)
+p = Params(k0=10.0, omega=50.0, beta11=10.0, beta12=9.0, beta22=9.0,
+           potential="box", frame="tilde")
+besp_solve(p, g, GfdnOptions(init="gaussian_opposite", max_iters=5))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+besp_solve(p, g, GfdnOptions(init="gaussian_opposite", max_iters=400))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="glibc's adaptive malloc thresholds")
+def test_box_flow_steps_do_not_fault_heap_pages_back_in():
+    # a 64-interval box's temporaries sit just under glibc's initial mmap
+    # threshold; at its initial trim threshold each step faulted about 5
+    # pages back in (about 2,000 over these 400 steps)
+    faults = int(run_python("-c", BOX_FLOW_FAULTS_SCRIPT).stdout)
+    assert faults < 400
+
+
+def test_missing_kernel_names_the_scipy_version_and_directory(tmp_path):
+    with pytest.raises(ImportError) as err:
+        _load_pocketfft(tmp_path)
+    assert f"scipy {scipy.__version__}" in str(err.value)
+    assert str(tmp_path) in str(err.value)
