@@ -20,12 +20,10 @@ from .com import (
     xc_closed_form,
 )
 from .dynamics import (
-    BoxRotation,
     EvolveOptions,
     ModePropagator,
     TrajectorySeries,
     box_step,
-    build_box_rotation,
     build_mode_propagators,
     evolve,
     tsfp_step,

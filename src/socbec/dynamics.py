@@ -29,16 +29,17 @@ rotation solves i dt psi1 = (omega/2) e^{-2ik0x} psi2 (and conjugate) exactly:
 which preserves the pointwise total density.
 
 `_splitting(grid, params, tau)` is the one builder of a step's tables: the
-spectral half-step and the pointwise part.  `evolve` fuses adjacent spectral
-half-steps ("first same as last"): after one leading half-step, each step is
-inverse transform, pointwise part, forward transform and one full spectral
-step (the half-step table of `_splitting` at 2*tau), one transform pair in
-all.  Record and snapshot points, the last step and an abort first close
-the pending half-step, so they see the states of a loop of
-`tsfp_step(psi, params, tau)` or `box_step(psi, params, tau)` to round-off.
-Those two are the single-step API and the test oracle: each checks its
-frame and runs one unfused `_strang_step` over the `_splitting` tables,
-rebuilt on every call.
+spectral half-step and the pointwise part.  It checks the discretization;
+the box tables come from the unchecked `_box_splitting`.  `evolve` fuses
+adjacent spectral half-steps ("first same as last"): after one leading
+half-step, each step is inverse transform, pointwise part, forward
+transform and one full spectral step (the half-step table of `_splitting`
+at 2*tau), one transform pair in all.  Record and snapshot points, the last
+step and an abort first close the pending half-step, so they see the states
+of a loop of `tsfp_step(psi, params, tau)` or `box_step(psi, params, tau)`
+to round-off.  Those two are the single-step API and the test oracle: each
+checks its frame and runs one unfused `_strang_step` over the `_splitting`
+tables, rebuilt on every call.
 """
 
 from __future__ import annotations
@@ -198,49 +199,6 @@ def tsfp_step(psi: Spinor, params: Params, tau: float) -> Spinor:
     return _strang_step(psi, *_splitting(psi.grid, params, tau))
 
 
-@dataclass
-class BoxRotation:
-    """Exact Raman rotation over one step of the tilde-frame splitting.
-
-    The rows of the stacked `off` table carry the -i sin(omega*tau/2)
-    e^{-+2ik0x} off-diagonal factors; the per-node mixing matrix is
-    unitary, so |psi1|^2 + |psi2|^2 is preserved at every node.
-    """
-
-    cos_half: float
-    off: np.ndarray = field(repr=False)
-
-    def rotate(self, psi: np.ndarray) -> np.ndarray:
-        """Rotated copy of a stacked (2, *shape) spinor array."""
-        out = self.cos_half * psi
-        out += self.off * psi[::-1]
-        return out
-
-
-def build_box_rotation(grid: Grid, params: Params, tau: float) -> BoxRotation:
-    phase = discretization(grid, params).phase
-    half = 0.5 * params.omega * tau
-    off = -1j * np.sin(half) * np.stack((np.conj(phase), phase))
-    return BoxRotation(cos_half=float(np.cos(half)), off=off)
-
-
-def _tilde_kinetic_phases(grid: Grid, params: Params, dt: float) -> np.ndarray:
-    """Stacked diagonal spectral phases of the tilde kinetic/detuning flow.
-
-    Scale free, like every multiplier between `Grid.forward` and
-    `Grid.inverse`; unpacks as (e1, e2).
-    """
-    return np.exp((-1j * dt) * discretization(grid, params).symbol)
-
-
-def _box_core(a: np.ndarray, rotation: BoxRotation, d: Discretization,
-              tau: float) -> np.ndarray:
-    """Pointwise middle of the box splitting: phase/2, rotation, phase/2."""
-    a = _nonlinear_phase(a, d, 0.5 * tau)
-    a = rotation.rotate(a)
-    return _nonlinear_phase(a, d, 0.5 * tau)
-
-
 def box_step(psi: Spinor, params: Params, tau: float) -> Spinor:
     """One tilde-frame Strang step on a sine grid (box truncation)."""
     if params.frame != TILDE:
@@ -289,9 +247,30 @@ def _splitting(grid: Grid, params: Params, tau: float):
     if params.frame == LAB:
         half = build_mode_propagators(grid, params, tau)
         return half.apply, lambda a: _nonlinear_phase(a, d, tau)
-    rotation = build_box_rotation(grid, params, tau)
-    return (partial(np.multiply, _tilde_kinetic_phases(grid, params, 0.5 * tau)),
-            lambda a: _box_core(a, rotation, d, tau))
+    return _box_splitting(d, tau)
+
+
+def _box_splitting(d: Discretization, tau: float):
+    """(half, core) maps of one tilde-frame box step; `d` is not checked.
+
+    `half` multiplies by the kinetic/detuning phases e^{-i (tau/2) symbol}.
+    `core` is phase/2, the exact Raman rotation, phase/2.  The rows of `off`
+    carry the -i sin(omega*tau/2) e^{-+2ik0x} off-diagonal factors; the
+    per-node mixing matrix is unitary, so |psi1|^2 + |psi2|^2 is preserved
+    at every node.
+    """
+    half = partial(np.multiply, np.exp((-1j * (0.5 * tau)) * d.symbol))
+    angle = 0.5 * d.params.omega * tau
+    cos_half = float(np.cos(angle))
+    off = -1j * np.sin(angle) * np.stack((np.conj(d.phase), d.phase))
+
+    def core(a):
+        a = _nonlinear_phase(a, d, 0.5 * tau)
+        r = cos_half * a
+        r += off * a[::-1]
+        return _nonlinear_phase(r, d, 0.5 * tau)
+
+    return half, core
 
 
 def evolve(psi0: Spinor, params: Params, options: EvolveOptions,

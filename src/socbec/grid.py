@@ -48,14 +48,15 @@ arguments scipy's wrappers end in (no scaling forward, 1/N inverse, one
 worker), so the results are scipy's bits: fftn/ifftn is
 c2c(x, axes, forward, 0 or 2, out, 1), dstn/idstn is
 dst(x, 1, axes, 0 or 2, out, 1), and `deriv`'s sine path is dst then dct,
-type 1 with inorm 0.  As in scipy, dst/dct take a complex array as its
-`.real` and `.imag` halves.  On the small arrays of a 1D flow step scipy's
-dispatch and argument checks cost more than the kernel (a (2, 128) `fft`
-takes about 8 us through scipy, 3 us direct).  float64 and complex128 go in
-as they are (views and non-contiguous strides included).  Anything else is
-cast to complex128 on Fourier axes; on sine axes (dense path included) to
-complex128 if complex and float64 if real, so a real field keeps a real
-spectrum.
+type 1 with inorm 0.  A complex array goes to dst/dct in one call, as its
+float64 view with re/im on a trailing axis of length 2 (scipy calls them
+twice, on `.real` and `.imag`, with the same bits).  On the small arrays
+of a 1D flow step scipy's dispatch and argument checks cost more than the
+kernel (a (2, 128) `fft` takes about 8 us through scipy, 3 us direct).
+float64 and complex128 go in as they are (views and non-contiguous strides
+included).  Anything else is cast to complex128 on Fourier axes; on sine
+axes (dense path included) to complex128 if complex and float64 if real, so
+a real field keeps a real spectrum.
 
 The kernels come from scipy's `pypocketfft` extension, loaded from its file
 in scipy's install directory, so `scipy.fft` is never imported: its package
@@ -112,8 +113,9 @@ def _free_one_mapped_block():
     temporaries come from the top of the heap.  Freeing them leaves more
     than the initial 128 KiB trim threshold free there, so without this
     every flow step gives pages back to the kernel and faults them in again
-    (5-8 minor faults a step, 5-8% of a box solve).  glibc raises both
-    thresholds the first time it frees a block it had mmapped, to the
+    (5-8 minor faults a step, 5-8% of a box solve), as does every step of
+    a box `evolve` (about 50 a step on a 64-interval 2D box).  glibc raises
+    both thresholds the first time it frees a block it had mmapped, to the
     block's size and twice that; this does so once, as importing scipy.fft
     does as a side effect.  Under other allocators it is one short-lived
     allocation.
@@ -383,14 +385,12 @@ def _r2r(kernel, arr, axes, inorm: int, overwrite: bool):
     if arr.dtype != dtype:
         arr = arr.astype(dtype)
         overwrite = True
-    out = arr if overwrite else None
     if dtype is np.float64:
-        return kernel(arr, 1, axes, inorm, out, 1)
-    if out is None:
-        out = np.empty_like(arr)
-    kernel(arr.real, 1, axes, inorm, out.real, 1)
-    kernel(arr.imag, 1, axes, inorm, out.imag, 1)
-    return out
+        return kernel(arr, 1, axes, inorm, arr if overwrite else None, 1)
+    # re/im as a trailing float64 axis of length 2: one call transforms both
+    x = arr[..., None].view(np.float64)
+    out = kernel(x, 1, axes, inorm, x if overwrite else None, 1)
+    return out.view(np.complex128)[..., 0]
 
 
 def _apply_per_axis(arr: np.ndarray, mats, order) -> np.ndarray:

@@ -433,7 +433,8 @@ def limit_study(kind: str, params: Params, grid: Grid, values,
       - "rate_large_k0": sweep large k0; slope against 1/sqrt(k0).
       - "energy_competition": sweep omega at fixed k0; fits
                          E_g + k0^2/2 ~ -C0 * omega^2/k0^2.
-    Each sweep point warm-starts from the previous converged state.
+    Each sweep point warm-starts from the previous point's result, whether
+    or not that point converged.
     """
     options = options or GfdnOptions()
     values = [float(v) for v in values]

@@ -320,6 +320,12 @@ class _Run:
             # fitted prefactor of the energy-competition law; reported as a
             # fit only, with no claim of a known true value
             self.notes.append(f"fitted_c0 {_fmt(study.fitted_c0)}")
+        # an unconverged point is still a result: named here, exit stays 0
+        failed = [_fmt(v) for v, res in zip(study.values, study.results)
+                  if not res.converged]
+        if failed:
+            self.warn(f"unconverged sweep points: {cfg.sweep.parameter} = "
+                      + ", ".join(failed))
 
     def run_com_compare(self):
         cfg = self.config

@@ -158,6 +158,13 @@ values = 10, 40, 160
     norms = [float(r.split(",")[1]) for r in lines[1:]]
     assert norms[0] > norms[1] > norms[2]
     assert (out / "state_delta_10.socb").exists()
+    assert "unconverged" not in (out / "run_manifest.txt").read_text()
+
+    # unconverged points stay results: the manifest names them, exit 0
+    cfg = write(tmp_path, "short.cfg", text + "[gfdn]\nmax_iters = 5\n")
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    manifest = (out / "run_manifest.txt").read_text().splitlines()
+    assert "warning unconverged sweep points: delta = 10, 40, 160" in manifest
 
 
 def test_com_compare_run(tmp_path):

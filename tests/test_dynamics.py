@@ -1,5 +1,3 @@
-from functools import partial
-
 import numpy as np
 import pytest
 from scipy import fft as sfft
@@ -11,7 +9,6 @@ from socbec import (
     Params,
     Spinor,
     box_step,
-    build_box_rotation,
     build_mode_propagators,
     evolve,
     gauge_transform,
@@ -20,7 +17,7 @@ from socbec import (
     tsfp_step,
 )
 from socbec import dynamics
-from socbec.dynamics import _box_core, _strang_step, _tilde_kinetic_phases
+from socbec.dynamics import _box_splitting, _strang_step
 from socbec.model import discretization, potential_field
 
 
@@ -254,12 +251,18 @@ def bandlimited_box_state(grid, seed=3):
     return Spinor(grid, f1, f2).normalized()
 
 
+def box_rotation(grid, params, tau):
+    """Core of the box splitting at beta = 0: with no trap in the box the
+    phase half-steps are the identity, so it is the Raman rotation alone."""
+    p = params.with_(beta11=0.0, beta12=0.0, beta22=0.0)
+    return _box_splitting(discretization(grid, p), tau)[1]
+
+
 def test_rotation_preserves_pointwise_density():
     g = sine_1d()
     psi = bandlimited_box_state(g)
     p = Params(k0=2.0, omega=4.0, potential="box", frame="tilde")
-    rot = build_box_rotation(g, p, 0.37)
-    r = rot.rotate(psi.psi)
+    r = box_rotation(g, p, 0.37)(psi.psi.copy())
     before = np.abs(psi.psi1) ** 2 + np.abs(psi.psi2) ** 2
     after = np.abs(r[0]) ** 2 + np.abs(r[1]) ** 2
     assert np.abs(after - before).max() <= 1e-14
@@ -268,9 +271,33 @@ def test_rotation_preserves_pointwise_density():
 def test_rotation_identity_at_omega_zero():
     g = sine_1d()
     psi = bandlimited_box_state(g)
-    rot = build_box_rotation(g, Params(k0=2.0, omega=0.0, potential="box",
-                                       frame="tilde"), 0.5)
-    assert np.array_equal(rot.rotate(psi.psi), psi.psi)
+    rot = box_rotation(g, Params(k0=2.0, omega=0.0, potential="box",
+                                 frame="tilde"), 0.5)
+    assert np.array_equal(rot(psi.psi.copy()), psi.psi)
+
+
+@pytest.mark.parametrize("p", [
+    Params(k0=2.0, omega=50.0, delta=0.3, beta11=10.0, beta12=9.0,
+           beta22=8.0, potential="box", frame="tilde"),
+    Params(k0=1.0, omega=0.0, beta11=5.0, beta12=5.0, beta22=5.0,
+           potential="box", frame="tilde"),
+], ids=["coupled", "omega0_equal_beta"])
+def test_box_splitting_is_the_written_out_expression(p):
+    g = make_grid([Axis(-1.0, 1.0, 32, "sine"), Axis(-1.0, 2.0, 24, "sine")])
+    d = discretization(g, p)
+    tau = 0.37e-2
+    half, core = _box_splitting(d, tau)
+    rng = np.random.default_rng(18)
+    a = rng.normal(size=(2,) + g.shape) + 1j * rng.normal(size=(2,) + g.shape)
+
+    assert np.array_equal(half(a), np.exp((-1j * (0.5 * tau)) * d.symbol) * a)
+    angle = 0.5 * p.omega * tau
+    off = -1j * np.sin(angle) * np.stack((np.conj(d.phase), d.phase))
+    ref = dynamics._nonlinear_phase(a.copy(), d, 0.5 * tau)
+    r = float(np.cos(angle)) * ref
+    r += off * ref[::-1]
+    ref = dynamics._nonlinear_phase(r, d, 0.5 * tau)
+    assert np.array_equal(core(a.copy()), ref)
 
 
 def test_box_step_guards():
@@ -382,13 +409,10 @@ def test_lab_and_tilde_frames_agree_on_densities():
 
     p_t = p.with_(frame="tilde")
     tilde = gauge_transform(psi0, p, "to_tilde")
-    rot = build_box_rotation(g, p_t, tau)
-    kin = _tilde_kinetic_phases(g, p_t, 0.5 * tau)
-    # box_step rejects a Fourier grid, so build its pieces here
-    d = discretization(g, p_t)
+    # box_step rejects a Fourier grid, so build its tables unchecked here
+    half, core = _box_splitting(discretization(g, p_t), tau)
     for _ in range(steps):
-        tilde = _strang_step(tilde, partial(np.multiply, kin),
-                             lambda a: _box_core(a, rot, d, tau))
+        tilde = _strang_step(tilde, half, core)
 
     assert np.abs(np.abs(lab.psi1) - np.abs(tilde.psi1)).max() <= 1e-6
     assert np.abs(np.abs(lab.psi2) - np.abs(tilde.psi2)).max() <= 1e-6

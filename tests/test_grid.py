@@ -279,14 +279,31 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
+BOX_EVOLVE_FAULTS_SCRIPT = """
+import resource
+from socbec import (Axis, EvolveOptions, Params, Spinor, evolve, make_grid,
+                    sine_profile)
+g = make_grid([Axis(-1.0, 1.0, 64, "sine")] * 2)
+p = Params(k0=10.0, omega=50.0, beta11=10.0, beta12=9.0, beta22=9.0,
+           potential="box", frame="tilde")
+f = sine_profile(g)
+psi0 = Spinor(g, f, f).normalized()
+evolve(psi0, p, EvolveOptions(tau=1e-4, t_end=5e-4))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+evolve(psi0, p, EvolveOptions(tau=1e-4, t_end=0.04, record_every=400))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="glibc's adaptive malloc thresholds")
 def test_box_flow_steps_do_not_fault_heap_pages_back_in():
     # a 64-interval box's temporaries sit just under glibc's initial mmap
-    # threshold; at its initial trim threshold each step faulted about 5
-    # pages back in (about 2,000 over these 400 steps)
-    faults = int(run_python("-c", BOX_FLOW_FAULTS_SCRIPT).stdout)
-    assert faults < 400
+    # threshold; at its initial trim threshold each flow step faulted about
+    # 5 pages back in (about 2,000 over these 400 steps) and each box
+    # evolve step about 50 (about 21,000 over its 400)
+    for script in (BOX_FLOW_FAULTS_SCRIPT, BOX_EVOLVE_FAULTS_SCRIPT):
+        assert int(run_python("-c", script).stdout) < 400
 
 
 def test_missing_kernel_names_the_scipy_version_and_directory(tmp_path):
