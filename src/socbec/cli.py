@@ -4,7 +4,8 @@
     socbec validate <config-file>
 
 `validate` parses the config and runs the same dry run (`runner.preflight`)
-that `run` starts with, so it rejects what `run` would reject before solving.
+that `run` starts with, so it rejects what `run` would reject before solving,
+an unreadable initial checkpoint or one on another grid included.
 
 Exit codes: 0 success, 1 usage/parse/validation error or an output path
 that cannot be a directory, 2 run failure (any error once `run` has made its
@@ -77,7 +78,7 @@ def main(argv=None) -> int:
     if args.command == "validate":
         try:
             warnings = preflight(config)
-        except (ValueError, RunFailure) as exc:
+        except (ValueError, RunFailure, OSError) as exc:
             print(f"error: {args.config}: {exc}", file=sys.stderr)
             return EXIT_USAGE
         for w in warnings:

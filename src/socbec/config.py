@@ -8,6 +8,14 @@ the converter that checks its value.  A grid axis reads `lo, hi, n[, basis]`
 keys, bad values and non-finite numbers are errors carrying the line number;
 so are missing required keys and the cross-key rules in `parse_config`.
 
+`[initial]` takes `kind` and only the keys that kind reads (`INITIAL_KEYS`):
+gaussian `center`, `width`, `component`; shifted_ground_state `offset`;
+checkpoint `path`; ground_state none.  A checkpoint start reaches the
+config's frame through the lab frame: a tilde checkpoint goes to the lab
+frame with its own k0, then a tilde config to the tilde frame with its k0;
+a field whose frame and k0 already match the config's is used as stored.
+`socbec validate` loads that checkpoint and checks its grid, as `run` does.
+
 Each section's values are the keyword arguments of its dataclass, so unset
 keys take the library defaults (gfdn tau 0.01, tol 1e-7, evolve tau 1e-3);
 an unset [lda] t_end is the [evolve] t_end.
@@ -27,7 +35,13 @@ from .model import BOX, FREE, HARMONIC, LAB, TILDE, Params
 from .states import INIT_SPECS, PLANE_WAVE
 
 MODES = ("ground_state", "dynamics", "limit_study", "com_compare")
-INITIAL_KINDS = ("gaussian", "ground_state", "shifted_ground_state", "checkpoint")
+# the [initial] keys besides `kind` that each kind reads; any other is an error
+INITIAL_KEYS = {
+    "gaussian": ("center", "width", "component"),
+    "ground_state": (),
+    "shifted_ground_state": ("offset",),
+    "checkpoint": ("path",),
+}
 
 
 class ConfigError(ValueError):
@@ -192,7 +206,7 @@ _SCHEMA = {
     "gfdn": {"tau": _float, "tol": _float, "max_iters": _int, "init": _init},
     "evolve": {"tau": _positive, "t_end": _float, "record_every": _int,
                "snapshot_every": _int},
-    "initial": {"kind": _choice(*INITIAL_KINDS),
+    "initial": {"kind": _choice(*INITIAL_KEYS),
                 "center": _floats, "width": _positive, "component": _component,
                 "offset": _floats, "path": _text},
     "sweep": {"kind": _choice(*SWEPT_PARAMETER),
@@ -248,6 +262,11 @@ def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
         raise ConfigError("missing required key 't_end' in section [evolve]")
 
     ikw = found["initial"]
+    kind = ikw.get("kind", InitialSpec.kind)
+    for key in ikw:
+        if key != "kind" and key not in INITIAL_KEYS[kind]:
+            raise ConfigError(f"initial kind {kind!r} does not read {key!r}",
+                              lines["initial", key])
     if "path" in ikw:
         resolved = Path(base_dir) / ikw["path"]
         if not resolved.exists():

@@ -48,15 +48,15 @@ arguments scipy's wrappers end in (no scaling forward, 1/N inverse, one
 worker), so the results are scipy's bits: fftn/ifftn is
 c2c(x, axes, forward, 0 or 2, out, 1), dstn/idstn is
 dst(x, 1, axes, 0 or 2, out, 1), and `deriv`'s sine path is dst then dct,
-type 1 with inorm 0.  A complex array goes to dst/dct in one call, as its
-float64 view with re/im on a trailing axis of length 2 (scipy calls them
-twice, on `.real` and `.imag`, with the same bits).  On the small arrays
-of a 1D flow step scipy's dispatch and argument checks cost more than the
-kernel (a (2, 128) `fft` takes about 8 us through scipy, 3 us direct).
-float64 and complex128 go in as they are (views and non-contiguous strides
-included).  Anything else is cast to complex128 on Fourier axes; on sine
-axes (dense path included) to complex128 if complex and float64 if real, so
-a real field keeps a real spectrum.
+type 1 with inorm 0.  On the small arrays of a 1D flow step scipy's
+dispatch and argument checks cost more than the kernel (a (2, 128) `fft`
+takes about 8 us through scipy, 3 us direct).
+
+The transforms have one field type, complex128, that of every spinor the
+solvers build.  `forward`, `inverse` and `deriv` cast to it once on entry
+(a no-op for complex128, views and strides included), so a real field
+transforms as its complex128 cast.  dst/dct take it in one call, as its
+float64 view with re/im on a trailing axis of length 2.
 
 The kernels come from scipy's `pypocketfft` extension, loaded from its file
 in scipy's install directory, so `scipy.fft` is never imported: its package
@@ -288,6 +288,7 @@ class Grid:
         Leading axes (such as the component axis of a stacked spinor) are
         batch axes.  `overwrite` lets the transform reuse `arr`'s storage.
         """
+        arr = np.asarray(arr, dtype=np.complex128)
         fourier, sine, order = self._plan(arr.shape)
         if self._dense_sine is not None:
             return _apply_per_axis(arr, self._dense_sine[0], order)
@@ -301,6 +302,7 @@ class Grid:
 
     def inverse(self, arr: np.ndarray, overwrite: bool = False) -> np.ndarray:
         """Exact inverse of `forward` (same batch-axis convention)."""
+        arr = np.asarray(arr, dtype=np.complex128)
         fourier, sine, order = self._plan(arr.shape)
         if self._dense_sine is not None:
             return _apply_per_axis(arr, self._dense_sine[1], order)
@@ -318,19 +320,18 @@ class Grid:
         `field` has the grid shape, or carries leading batch axes in front of
         it (a stacked spinor).
         """
-        field = np.asarray(field)
+        field = np.array(field, dtype=np.complex128)
         self._check_shape(field.shape, batch=True)
         a = self.axes[axis]
         ax = field.ndim - self.dim + axis
         mu = self.wavenumbers[axis].reshape((-1,) + (1,) * (self.dim - 1 - axis))
         if a.basis == FOURIER:
-            c = _c2c(field.astype(np.complex128), (ax,), True, True)
+            c = _c2c(field, (ax,), True, True)
             c *= 1j * mu
             return _c2c(c, (ax,), False, True)
         # sine series differentiates into a cosine series; evaluate it at the
         # interior nodes through a DCT-I padded with the two boundary zeros
-        c = _r2r(_pocketfft.dst, field.astype(np.complex128), (ax,), 0,
-                 True) / a.n
+        c = _r2r(_pocketfft.dst, field, (ax,), 0, True) / a.n
         c *= mu
         pad = [(0, 0)] * field.ndim
         pad[ax] = (1, 1)
@@ -345,13 +346,11 @@ class Grid:
         return self.inverse(-self.mu2 * self.forward(field), overwrite=True)
 
     def quadrature(self, samples: np.ndarray):
-        """h^d * sum(samples); sine axes sum interior nodes only."""
+        """h^d * sum(samples) as a Python float or complex; sine axes sum
+        interior nodes only."""
         samples = np.asarray(samples)
         self._check_shape(samples.shape)
-        total = samples.sum() * self.cell_volume
-        if np.iscomplexobj(samples):
-            return complex(total)
-        return float(total)
+        return (samples.sum() * self.cell_volume).item()
 
 
 def _dst1_pair(n: int):
@@ -366,49 +365,37 @@ def _dst1_pair(n: int):
 
 
 def _c2c(arr, axes, forward: bool, overwrite: bool):
-    """fftn (`forward`) or ifftn over `axes` as one pocketfft kernel call.
-
-    float64 and complex128 pass through as they are; any other dtype is cast
-    to complex128.  `overwrite` writes the result into a complex `arr`.
-    """
-    if arr.dtype != np.complex128 and arr.dtype != np.float64:
-        arr = arr.astype(np.complex128)
-        overwrite = True
-    out = arr if overwrite and arr.dtype == np.complex128 else None
+    """fftn (`forward`) or ifftn of complex128 `arr` over `axes` as one
+    pocketfft kernel call; `overwrite` writes the result into `arr`."""
+    out = arr if overwrite else None
     return _pocketfft_c2c(arr, axes, forward, 0 if forward else 2, out, 1)
 
 
 def _r2r(kernel, arr, axes, inorm: int, overwrite: bool):
-    """Type-I `kernel` (pocketfft's dst or dct) over `axes`, called as
-    scipy's dstn/idstn/dst/dct call it; `overwrite` writes into `arr`."""
-    dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
-    if arr.dtype != dtype:
-        arr = arr.astype(dtype)
-        overwrite = True
-    if dtype is np.float64:
-        return kernel(arr, 1, axes, inorm, arr if overwrite else None, 1)
-    # re/im as a trailing float64 axis of length 2: one call transforms both
+    """Type-I `kernel` (pocketfft's dst or dct) of complex128 `arr` over
+    `axes`, called as scipy's dstn/idstn/dst/dct call it; `overwrite` writes
+    into `arr`.  re/im go in as a trailing float64 axis of length 2, so one
+    call transforms both."""
     x = arr[..., None].view(np.float64)
     out = kernel(x, 1, axes, inorm, x if overwrite else None, 1)
     return out.view(np.complex128)[..., 0]
 
 
 def _apply_per_axis(arr: np.ndarray, mats, order) -> np.ndarray:
-    """Apply symmetric mats[i] along the i-th of the trailing len(mats) axes.
+    """Apply symmetric mats[i] along the i-th of the trailing len(mats) axes
+    of complex128 `arr`.
 
     Each pass transposes by `order`, which moves the last axis to the front
     of the trailing ones, so after len(mats) passes the axes are back in
-    order.  A complex array is multiplied through its float64 view, one real
+    order.  The array is multiplied through its float64 view, one real
     product instead of a complex one.  Never writes into `arr`.
     """
-    out = np.asarray(arr, dtype=np.complex128 if np.iscomplexobj(arr)
-                     else np.float64)
-    lead = out.ndim - len(mats)
+    lead = arr.ndim - len(mats)
     for mat in reversed(mats):
-        t = np.ascontiguousarray(out.transpose(order))
+        t = np.ascontiguousarray(arr.transpose(order))
         flat = t.view(np.float64).reshape(t.shape[:lead + 1] + (-1,))
-        out = np.matmul(mat, flat).view(t.dtype).reshape(t.shape)
-    return out
+        arr = np.matmul(mat, flat).view(t.dtype).reshape(t.shape)
+    return arr
 
 
 def make_grid(axes) -> Grid:

@@ -117,13 +117,21 @@ def _shift_steps(grid, offset):
     return shifts
 
 
+def _initial_checkpoint(config: ExperimentConfig):
+    """The config's initial checkpoint, loaded and checked against its grid."""
+    chk = load_checkpoint(config.initial.path)
+    if chk.spinor.grid != config.grid:
+        raise RunFailure("checkpoint grid does not match the configured grid")
+    return chk
+
+
 def preflight(config: ExperimentConfig) -> list:
     """Dry run of the rules `run` applies before it solves or steps.
 
     Builds the discretization of every parameter set the run uses and checks
-    it against the mode.  Raises ValueError or RunFailure on the first
-    violation; returns the resolution warnings.  The contents of an initial
-    checkpoint are checked when `run` loads it.
+    it against the mode, and loads an initial checkpoint and checks its grid.
+    Raises ValueError (CheckpointError included), OSError or RunFailure on
+    the first violation; returns the resolution warnings.
     """
     cfg = config
     warnings: list = []
@@ -157,6 +165,8 @@ def preflight(config: ExperimentConfig) -> list:
             use(cfg.params, flow=True)
         if cfg.initial.kind == "shifted_ground_state":
             _shift_steps(cfg.grid, cfg.initial.offset or (0.0,) * cfg.grid.dim)
+        if cfg.initial.kind == "checkpoint":
+            _initial_checkpoint(cfg)
     return warnings
 
 
@@ -221,15 +231,14 @@ class _Run:
                                        widths=spec.width)
             return single_component(cfg.grid, profile, spec.component)
         if spec.kind == "checkpoint":
-            chk = load_checkpoint(spec.path)
-            if chk.spinor.grid != cfg.grid:
-                raise RunFailure(
-                    "checkpoint grid does not match the configured grid"
-                )
-            phi = chk.spinor
-            if chk.params.frame != cfg.params.frame:
-                direction = "to_tilde" if cfg.params.frame == TILDE else "to_lab"
-                phi = gauge_transform(phi, cfg.params, direction)
+            chk = _initial_checkpoint(cfg)
+            phi, p = chk.spinor, chk.params
+            if (p.frame, p.k0) != (cfg.params.frame, cfg.params.k0):
+                # through the lab frame, each side with its own k0
+                if p.frame == TILDE:
+                    phi = gauge_transform(phi, p, "to_lab")
+                if cfg.params.frame == TILDE:
+                    phi = gauge_transform(phi, cfg.params, "to_tilde")
             return phi
         res = solve_ground_state(cfg.params, cfg.grid, cfg.gfdn,
                                  threads=self.threads)

@@ -121,17 +121,59 @@ def test_dynamics_run_artifacts(tmp_path):
         assert abs(float(row.split(",")[1]) - 1.0) <= 1e-12
 
 
-def test_dynamics_from_checkpoint_grid_mismatch(tmp_path):
+def checkpoint_start(tmp_path):
+    return write(tmp_path, "dyn.cfg", DYN_CONFIG.replace(
+        "[initial]\nkind = gaussian\ncenter = 1.0",
+        "[initial]\nkind = checkpoint\npath = seed.socb"))
+
+
+def test_dynamics_from_checkpoint_grid_mismatch(tmp_path, capsys):
     other = make_grid([Axis(-1.0, 1.0, 16, "sine")])
     phi = Spinor(other, np.zeros(other.shape), np.zeros(other.shape))
     save_checkpoint(tmp_path / "seed.socb", phi,
                     Params(potential="box", frame="tilde"))
-    cfg = write(tmp_path, "dyn.cfg", DYN_CONFIG.replace(
-        "[initial]\nkind = gaussian\ncenter = 1.0",
-        "[initial]\nkind = checkpoint\npath = seed.socb"))
+    cfg = checkpoint_start(tmp_path)
+    assert main(["validate", cfg]) == 1
+    assert "grid" in capsys.readouterr().err
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out)]) == 2
     assert "grid" in (out / "FAILED").read_text()
+
+
+def test_validate_and_run_reject_a_truncated_checkpoint(tmp_path, capsys):
+    g = make_grid([Axis(-16.0, 16.0, 64)])
+    save_checkpoint(tmp_path / "seed.socb",
+                    Spinor(g, np.ones(g.shape), np.zeros(g.shape)), Params())
+    (tmp_path / "seed.socb").write_bytes((tmp_path / "seed.socb").read_bytes()[:100])
+    cfg = checkpoint_start(tmp_path)
+    assert main(["validate", cfg]) == 1
+    assert "truncated" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert "truncated" in (out / "FAILED").read_text()
+
+
+def test_validate_rejects_a_checkpoint_path_that_is_a_directory(tmp_path, capsys):
+    (tmp_path / "seed.socb").mkdir()
+    cfg = checkpoint_start(tmp_path)
+    assert main(["validate", cfg]) == 1
+    assert "seed.socb" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert (out / "FAILED").exists()
+
+
+def test_initial_key_the_kind_does_not_read_is_a_usage_error(tmp_path, capsys):
+    cfg = write(tmp_path, "dyn.cfg", DYN_CONFIG.replace(
+        "[initial]\nkind = gaussian\ncenter = 1.0",
+        "[initial]\nkind = ground_state\noffset = 3.3\ncomponent = 2"))
+    for argv in (["validate", cfg], ["run", cfg, "--out", str(tmp_path / "o")]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "initial kind 'ground_state' does not read 'offset'" in err
+        line = Path(cfg).read_text().splitlines().index("offset = 3.3") + 1
+        assert f"line {line}:" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_limit_study_run(tmp_path):
@@ -428,15 +470,26 @@ tau = 1e-4
 t_end = 1e-3
 [initial]
 kind = checkpoint
-path = gs/ground_state_lab.socb
+path = gs/{name}
 """
-    cfg = write(tmp_path, "dyn.cfg", dyn)
-    out = tmp_path / "dyn"
-    assert main(["run", cfg, "--out", str(out)]) == 0
+
+    def t0_row(name, k0):
+        text = dyn.replace("k0 = 3", f"k0 = {k0}").format(name=name)
+        out = tmp_path / f"dyn_{k0}_{name}"
+        assert main(["run", write(tmp_path, "dyn.cfg", text),
+                     "--out", str(out)]) == 0
+        row = _rows(out / "observables.csv")[0]
+        assert row[0] == 0.0
+        return row
+
     gs_row = _rows(tmp_path / "gs" / "observables.csv")[0]
-    t0_row = _rows(out / "observables.csv")[0]
-    assert t0_row[0] == 0.0
-    np.testing.assert_allclose(t0_row[1:], gs_row[1:], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(t0_row("ground_state_lab.socb", 3)[1:],
+                               gs_row[1:], rtol=0, atol=1e-12)
+    # at another k0 both checkpoints go through the lab frame, the tilde one
+    # with its own k0, so they start from the same state
+    row = t0_row("ground_state.socb", 4)
+    assert row == t0_row("ground_state_lab.socb", 4)
+    assert abs(row[-1] - gs_row[-1]) <= 1e-12  # raman_overlap is the state's
 
 
 STUDY_CONFIG = """

@@ -3,7 +3,8 @@ from dataclasses import fields
 import pytest
 
 from socbec import ConfigError, GfdnOptions, Params, parse_config
-from socbec.config import _SCHEMA, EvolveSpec, InitialSpec, LdaSpec, SweepSpec
+from socbec.config import (_SCHEMA, INITIAL_KEYS, EvolveSpec, InitialSpec,
+                           LdaSpec, SweepSpec)
 
 MINIMAL = """
 [run]
@@ -132,6 +133,44 @@ def test_initial_center_dimension_checked():
     )
     with pytest.raises(ConfigError):
         parse_config(text)
+
+
+def initial_text(lines):
+    return MINIMAL.replace("ground_state", "dynamics") + (
+        "[evolve]\nt_end = 0.1\n[initial]\n" + "".join(f"{l}\n" for l in lines))
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("ground_state", "offset", "3.3"),
+    ("ground_state", "component", "2"),
+    ("gaussian", "offset", "1.0"),
+    ("shifted_ground_state", "width", "2"),
+    ("checkpoint", "center", "1.0"),
+    (None, "path", "seed.socb"),
+])
+def test_initial_keys_the_kind_does_not_read_rejected(tmp_path, kind, key, value):
+    (tmp_path / "seed.socb").write_bytes(b"")
+    lines = [f"kind = {kind}"] if kind else []  # unset kind is gaussian
+    if kind == "checkpoint":
+        lines.append("path = seed.socb")
+    text = initial_text(lines + [f"{key} = {value}"])
+    with pytest.raises(ConfigError) as err:
+        parse_config(text, base_dir=tmp_path)
+    assert f"initial kind {kind or 'gaussian'!r} does not read {key!r}" \
+        in str(err.value)
+    assert err.value.line == text.splitlines().index(f"{key} = {value}") + 1
+
+
+def test_initial_keys_each_kind_reads_accepted(tmp_path):
+    (tmp_path / "seed.socb").write_bytes(b"")
+    values = {"center": "1.0", "width": "2", "component": "2",
+              "offset": "0.25", "path": "seed.socb"}
+    for kind, keys in INITIAL_KEYS.items():
+        text = initial_text([f"kind = {kind}"] + [f"{k} = {values[k]}" for k in keys])
+        assert parse_config(text, base_dir=tmp_path).initial.kind == kind
+    # every [initial] key is read by some kind
+    read = {key for keys in INITIAL_KEYS.values() for key in keys}
+    assert read | {"kind"} == set(_SCHEMA["initial"])
 
 
 def test_comments_and_blank_lines_ignored():

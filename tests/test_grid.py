@@ -10,7 +10,9 @@ import scipy
 from scipy import fft as sfft
 
 from socbec import Axis, Grid, make_grid
+from socbec.config import parse_config
 from socbec.grid import _load_pocketfft
+from socbec.runner import run
 
 ROOT = Path(__file__).parent.parent
 
@@ -134,6 +136,11 @@ def test_quadrature_constant_and_gaussian():
     x = g.coordinate(0)
     val = g.quadrature(np.pi**-0.5 * np.exp(-(x**2)))
     assert abs(val - 1.0) <= 1e-12
+    # Python scalars, complex only for complex samples
+    assert type(val) is float
+    assert type(g.quadrature(np.ones(g.shape, dtype=np.float32))) is float
+    assert g.quadrature((1 + 2j) * np.ones(g.shape)) == 32.0 + 64.0j
+    assert type(g.quadrature((1 + 2j) * np.ones(g.shape))) is complex
 
 
 def test_quadrature_shape_mismatch():
@@ -203,6 +210,99 @@ def test_3d_quadrature_gaussian():
     r2 = sum(g.coordinate(i) ** 2 for i in range(3))
     val = g.quadrature(np.pi**-1.5 * np.exp(-r2))
     assert abs(val - 1.0) <= 1e-12
+
+
+# ---- complex128 is the only field type the solvers transform ----------------
+
+TRAFFIC_CONFIGS = {
+    "fourier_ground_state": """
+[run]
+mode = ground_state
+[grid]
+x = -16, 16, 64
+[params]
+omega = -2
+beta11 = 1
+beta12 = 0.5
+beta22 = 1
+[gfdn]
+init = gaussian_pair
+""",
+    # the only `deriv` caller: observables' momentum on a sine axis
+    "box_ground_state": """
+[run]
+mode = ground_state
+[grid]
+x = -1, 1, 32, sine
+[params]
+potential = box
+k0 = 3
+omega = 20
+beta11 = 10
+beta12 = 9
+beta22 = 9
+[gfdn]
+init = sine_opposite
+""",
+    "box_limit_study": """
+[run]
+mode = limit_study
+[grid]
+x = -1, 1, 32, sine
+[params]
+potential = box
+k0 = 3
+omega = 20
+beta11 = 10
+beta12 = 9
+beta22 = 9
+[gfdn]
+max_iters = 200
+[sweep]
+kind = large_delta
+values = 10, 40
+""",
+    "com_compare": """
+[run]
+mode = com_compare
+[grid]
+x = -16, 16, 64
+[params]
+omega = 20
+k0 = 1
+beta11 = 10
+beta12 = 10
+beta22 = 10
+[gfdn]
+init = gaussian_pair
+[evolve]
+tau = 1e-3
+t_end = 0.1
+record_every = 20
+[initial]
+kind = shifted_ground_state
+offset = 1.0
+""",
+}
+
+
+def test_solvers_transform_only_complex128(tmp_path, monkeypatch):
+    seen = {}
+
+    def recording(name):
+        method = getattr(Grid, name)
+
+        def wrapper(self, arr, *args, **kwargs):
+            seen.setdefault(name, set()).add(getattr(arr, "dtype", type(arr)))
+            return method(self, arr, *args, **kwargs)
+        return wrapper
+
+    for name in ("forward", "inverse", "deriv"):
+        monkeypatch.setattr(Grid, name, recording(name))
+    for name, text in TRAFFIC_CONFIGS.items():
+        assert run(parse_config(text), out_dir=tmp_path / name) == 0, name
+    assert seen == {name: {np.dtype(np.complex128)}
+                    for name in ("forward", "inverse", "deriv")}
 
 
 # ---- the pocketfft kernels, loaded without scipy.fft ----------------------------
