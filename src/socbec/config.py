@@ -7,6 +7,9 @@ the converter that checks its value.  A grid axis reads `lo, hi, n[, basis]`
 `values` are comma-separated numbers.  Unknown sections or keys, duplicate
 keys, bad values and non-finite numbers are errors carrying the line number;
 so are missing required keys and the cross-key rules in `parse_config`.
+A section that the run mode never reads (`MODE_SECTIONS`) is an error too,
+so `[evolve]` under `ground_state` or `[sweep]` outside `limit_study` is not
+silently ignored.
 
 `[initial]` takes `kind` and only the keys that kind reads (`INITIAL_KEYS`):
 gaussian `center`, `width`, `component`; shifted_ground_state `offset`;
@@ -34,7 +37,15 @@ from .ground_state import SWEPT_PARAMETER, GfdnOptions
 from .model import BOX, FREE, HARMONIC, LAB, TILDE, Params
 from .states import INIT_SPECS, PLANE_WAVE
 
-MODES = ("ground_state", "dynamics", "limit_study", "com_compare")
+# the sections each run mode reads; any other section given is an error
+_EVERY_MODE = ("run", "grid", "params", "gfdn", "output")
+MODE_SECTIONS = {
+    "ground_state": _EVERY_MODE,
+    "dynamics": _EVERY_MODE + ("evolve", "initial"),
+    "limit_study": _EVERY_MODE + ("sweep",),
+    "com_compare": _EVERY_MODE + ("evolve", "initial", "lda"),
+}
+MODES = tuple(MODE_SECTIONS)
 # the [initial] keys besides `kind` that each kind reads; any other is an error
 INITIAL_KEYS = {
     "gaussian": ("center", "width", "component"),
@@ -220,10 +231,12 @@ def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
     """Parse and fully validate a config; defaults applied, files checked."""
     found = {section: {} for section in _SCHEMA}
     lines = {}
+    headers = {}
     for ln, section, key, value in _tokenize(text):
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]", ln)
         if key is None:
+            headers.setdefault(section, ln)
             continue
         if key not in _SCHEMA[section]:
             raise ConfigError(f"unknown key {key!r} in section [{section}]", ln)
@@ -235,6 +248,9 @@ def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
     mode = found["run"].get("mode")
     if mode is None:
         raise ConfigError("missing required key 'mode' in section [run]")
+    for section, ln in headers.items():
+        if section not in MODE_SECTIONS[mode]:
+            raise ConfigError(f"{mode} mode does not read section [{section}]", ln)
 
     axes = found["grid"]
     order = list(_SCHEMA["grid"])

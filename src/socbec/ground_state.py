@@ -97,10 +97,10 @@ class _Flow:
     The flow works on stacked (2, *shape) arrays.  `Grid.forward` and
     `Grid.inverse` are an exact inverse pair, so the denominators need no
     transform scale factor.  `refresh` is the one shift policy: the
-    stabilization shift alpha is the running estimate 0.5*max(V + beta*rho),
-    refreshed every SHIFT_UPDATE_EVERY iterations; the chemical-potential
-    shift mu_hat = E + quartic is refreshed every MU_UPDATE_EVERY; a
-    positivity guard keeps every backward-Euler denominator >= 1.  Constant
+    stabilization shift alpha is the tau-aware bound of `refresh`, refreshed
+    every SHIFT_UPDATE_EVERY iterations; the chemical-potential shift
+    mu_hat = E + quartic is refreshed every MU_UPDATE_EVERY; a positivity
+    guard keeps every backward-Euler denominator >= 1.  Constant
     shifts cancel at the fixed point, so none of this changes the converged
     state.  Each refresh also records the largest energy rise between
     refreshes in `energy_rise`.  Strong Raman coupling (|omega| >= 100)
@@ -137,7 +137,19 @@ class _Flow:
         return floor
 
     def refresh(self, psi: np.ndarray, it: int = 0):
-        """Shift refresh after iteration `it` (0: set-up on the start state)."""
+        """Shift refresh after iteration `it` (0: set-up on the start state).
+
+        With u = max(V + beta*rho), the explicit part of a node is at most
+        U = u + |omega|/2, and every mode's symbol is at least
+        mu_hat - floor.  The frozen-coefficient amplification
+        (1 + tau*(alpha - U)) / (1 + tau*(alpha - mu_hat + symbol)) stays at
+        or above -1 exactly when alpha >= (U + floor)/2 - 1/tau, and a
+        smaller alpha contracts the low modes faster, so alpha is that
+        bound.  The `min` with u/2 (the tau-independent shift of the
+        stabilized BESP scheme, Bao, Chern & Lim 2006) keeps alpha from
+        ever rising above it, so large tau steps as before; the applied
+        shift is max(alpha, floor).
+        """
         if it % MU_UPDATE_EVERY:
             return
         d = self.disc
@@ -145,9 +157,12 @@ class _Flow:
         self.energy_rise = max(self.energy_rise, e - self.energy)
         self.energy = e
         mu_hat = e + quartic
+        floor = self.guard_floor(mu_hat)
         if it % SHIFT_UPDATE_EVERY == 0:
-            self.alpha = 0.5 * float(d.potential(psi).max())
-        self.set_shifts(max(self.alpha, self.guard_floor(mu_hat)), mu_hat)
+            u = float(d.potential(psi).max())
+            bound = 0.5 * (u + 0.5 * abs(d.params.omega) + floor) - 1.0 / self.tau
+            self.alpha = min(0.5 * u, bound)
+        self.set_shifts(max(self.alpha, floor), mu_hat)
 
     def set_shifts(self, alpha: float, mu_hat: float):
         tau = self.tau

@@ -370,26 +370,39 @@ RATE_SWEEP_REPEATED = GS_CONFIG.replace("mode = ground_state", "mode = limit_stu
 NEGATIVE_SNAPSHOT_EVERY = DYN_CONFIG.replace("snapshot_every = 25",
                                              "snapshot_every = -3")
 
+# sections a ground_state run never reads, the [initial] path being this
+# config file itself rather than a checkpoint
+UNREAD_SECTIONS = GS_CONFIG + (
+    "[evolve]\ntau = 0.5\nt_end = 3\n[initial]\nkind = checkpoint\npath = bad.cfg\n")
 
-@pytest.mark.parametrize("text, needle", [
-    (HARMONIC_ON_SINE, "Fourier grid"),
-    (BOX_ON_FOURIER, "sine-basis"),
-    (T_END_NOT_MULTIPLE, "multiple of tau"),
-    (LDA_T_END_NOT_MULTIPLE, "multiple of tau"),
-    (RATE_SWEEP_ZERO_K0, "positive k0"),
-    (RATE_SWEEP_REPEATED, "repeated sweep values"),
-    (NEGATIVE_SNAPSHOT_EVERY, "snapshot_every"),
+
+# parse errors stop `run` before its output directory (exit 1); the dry run's
+# rejections come after it (exit 2, FAILED and manifest written)
+@pytest.mark.parametrize("text, needle, run_status", [
+    (HARMONIC_ON_SINE, "Fourier grid", 2),
+    (BOX_ON_FOURIER, "sine-basis", 2),
+    (T_END_NOT_MULTIPLE, "multiple of tau", 2),
+    (LDA_T_END_NOT_MULTIPLE, "multiple of tau", 2),
+    (RATE_SWEEP_ZERO_K0, "positive k0", 2),
+    (RATE_SWEEP_REPEATED, "repeated sweep values", 2),
+    (NEGATIVE_SNAPSHOT_EVERY, "snapshot_every", 2),
+    (UNREAD_SECTIONS, "ground_state mode does not read section [evolve]", 1),
 ], ids=["harmonic_on_sine", "box_on_fourier", "t_end_not_multiple",
         "lda_t_end_not_multiple", "rate_sweep_zero_k0", "rate_sweep_repeated",
-        "negative_snapshot_every"])
-def test_validate_and_run_reject_alike(tmp_path, capsys, text, needle):
+        "negative_snapshot_every", "unread_sections"])
+def test_validate_and_run_reject_alike(tmp_path, capsys, text, needle,
+                                       run_status):
     cfg = write(tmp_path, "bad.cfg", text)
     assert main(["validate", cfg]) == 1
     assert needle in capsys.readouterr().err
     out = tmp_path / "out"
-    assert main(["run", cfg, "--out", str(out)]) == 2
-    assert needle in (out / "FAILED").read_text()
-    assert "status failed" in (out / "run_manifest.txt").read_text()
+    assert main(["run", cfg, "--out", str(out)]) == run_status
+    if run_status == 1:
+        assert needle in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert needle in (out / "FAILED").read_text()
+        assert "status failed" in (out / "run_manifest.txt").read_text()
 
 
 def test_resolution_warning_in_failed_and_manifest(tmp_path, capsys):

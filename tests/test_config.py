@@ -3,8 +3,8 @@ from dataclasses import fields
 import pytest
 
 from socbec import ConfigError, GfdnOptions, Params, parse_config
-from socbec.config import (_SCHEMA, INITIAL_KEYS, EvolveSpec, InitialSpec,
-                           LdaSpec, SweepSpec)
+from socbec.config import (_SCHEMA, INITIAL_KEYS, MODE_SECTIONS, EvolveSpec,
+                           InitialSpec, LdaSpec, SweepSpec)
 
 MINIMAL = """
 [run]
@@ -94,6 +94,33 @@ def test_limit_study_needs_sweep():
     assert cfg.sweep.kind == "large_delta"
     assert cfg.sweep.values == (10.0, 40.0)
     assert cfg.sweep.parameter == "delta"
+
+
+@pytest.mark.parametrize("mode, section", [
+    ("ground_state", "evolve"),
+    ("ground_state", "initial"),
+    ("ground_state", "lda"),
+    ("dynamics", "lda"),
+    ("dynamics", "sweep"),
+    ("com_compare", "sweep"),
+    ("limit_study", "evolve"),
+])
+def test_section_the_mode_never_reads_rejected(mode, section):
+    text = MINIMAL.replace("ground_state", mode) + (
+        "[evolve]\nt_end = 0.1\n" if mode in ("dynamics", "com_compare") else ""
+    ) + ("[sweep]\nkind = large_delta\nvalues = 10\n"
+         if mode == "limit_study" else "")
+    if section not in text:
+        text += f"[{section}]\n"  # an empty header counts as given
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert f"{mode} mode does not read section [{section}]" in str(err.value)
+    assert err.value.line == text.splitlines().index(f"[{section}]") + 1
+
+
+def test_every_section_is_read_by_some_mode():
+    read = {s for sections in MODE_SECTIONS.values() for s in sections}
+    assert read == set(_SCHEMA)
 
 
 def test_bad_grid_axis_reports_line():

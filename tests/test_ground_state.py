@@ -396,6 +396,75 @@ def test_energy_rise_warning(p, opts, rises):
     assert any("energy increased" in w for w in res.warnings) == rises
 
 
+# ---- the stabilization shift -------------------------------------------------
+
+COM_2D_GRID = make_grid([Axis(-8.0, 8.0, 64), Axis(-8.0, 8.0, 64)])
+COM_2D_PARAMS = Params(k0=2.0, omega=50.0, beta11=10.0, beta12=10.0,
+                       beta22=10.0, gamma_x=2.0, gamma_y=2.0)
+SWEEP_1D_PARAMS = Params(k0=0.0125, omega=-2.0, beta11=1.0, beta12=0.5,
+                         beta22=1.0)
+
+
+@pytest.mark.parametrize("g, p, tau", [
+    (COM_2D_GRID, COM_2D_PARAMS, 0.01),
+    (grid_1d(128), SWEEP_1D_PARAMS, 0.01),
+    (grid_1d(128), SWEEP_1D_PARAMS, 1.0),
+    (grid_1d(128), Params(k0=3.0, omega=-2.0, beta11=100.0, beta12=50.0,
+                          beta22=100.0), 0.5),
+    (box_1d(64), Params(k0=2.0, omega=5.0, beta11=10.0, beta12=9.0,
+                        beta22=9.0, potential="box", frame="tilde"), 0.01),
+], ids=["com_2d", "sweep_1d", "sweep_1d_large_tau", "tau_too_large", "box_1d"])
+def test_refresh_sets_the_tau_aware_shift(g, p, tau):
+    d = discretization(g, p)
+    flow = ground_state._Flow(d, tau)
+    psi = build_initial_state("gaussian_pair", g, p).psi
+    flow.refresh(psi)
+    e, quartic = d.energy_parts(psi)
+    floor = flow.guard_floor(e + quartic)
+    u = float(d.potential(psi).max())
+    assert flow.alpha == min(0.5 * u,
+                             0.5 * (u + 0.5 * abs(p.omega) + floor) - 1.0 / tau)
+    assert flow.alpha <= 0.5 * u  # never above the tau-independent shift
+
+
+def test_box_shift_stays_at_the_guard_floor():
+    # box_gs's k0 = 10 problem: the tau-aware shift never rises above the
+    # positivity guard, so every refresh applies guard_floor itself
+    g = make_grid([Axis(-1.0, 1.0, 64, "sine")] * 2)
+    p = Params(k0=10.0, omega=50.0, beta11=10.0, beta12=9.0, beta22=9.0,
+               potential="box", frame="tilde")
+    flow = ground_state._Flow(discretization(g, p), GfdnOptions().tau)
+    applied = []
+    set_shifts = flow.set_shifts
+
+    def record(alpha, mu_hat):
+        applied.append((alpha, flow.guard_floor(mu_hat)))
+        set_shifts(alpha, mu_hat)
+
+    flow.set_shifts = record
+    psi = build_initial_state("gaussian_opposite", g, p).psi
+    flow.refresh(psi)
+    for it in range(1, 61):
+        psi = flow.step(psi)
+        flow.refresh(psi, it)
+    assert len(applied) == 7
+    assert all(alpha == floor for alpha, floor in applied)
+
+
+@pytest.mark.parametrize("g, p, init, max_iters", [
+    # sweep_1d's first point: 636 iterations here, 1,003 with alpha = u/2
+    (grid_1d(128), SWEEP_1D_PARAMS, "gaussian_pair", 800),
+    (COM_2D_GRID, COM_2D_PARAMS, "gaussian_opposite", 600),
+    (COM_2D_GRID, COM_2D_PARAMS, "gaussian_pair", 3_500),
+], ids=["sweep_1d", "com_2d_opposite", "com_2d_pair"])
+def test_flow_iteration_guard(g, p, init, max_iters):
+    res = gfdn_solve(p, g, GfdnOptions(init=init, max_iters=max_iters))
+    assert res.converged
+    assert not any("energy increased" in w for w in res.warnings)
+    if p is SWEEP_1D_PARAMS:
+        assert res.energy == pytest.approx(-0.35617378167840158, abs=1e-10)
+
+
 # ---- one path per solve ------------------------------------------------------
 
 def test_gfdn_step_matches_one_solver_iteration_at_large_omega():
