@@ -21,6 +21,14 @@ Every solve takes one path: `solve_ground_state` -> `multi_start` ->
 `GfdnOptions.init` is the only way to pass a start, a `Spinor` included.
 Only `solve_ground_state` reads init = "auto" (multi-start over
 `default_starts`); the solvers reject it.
+
+`multi_start` merges duplicate starts.  Two unit-norm states coincide when
+their phase-aligned distance sqrt(2 - 2 h |<a, b>|) (h the cell volume) is
+below MERGE_DISTANCE.  Run in list order, each start is given the converged
+best so far and stops, unconverged, once it coincides with it; a converged
+duplicate never replaces the best, so the earliest start of a cluster is
+kept.  With threads > 1 nothing merges mid-run and the
+same rule selects the same start.
 """
 
 from __future__ import annotations
@@ -43,9 +51,9 @@ from .model import (
 )
 from .states import base_profile, build_initial_state, single_component
 
-LARGE_OMEGA_TAU = 1e-3  # fallback fictitious step for |omega| >= 100
 MU_UPDATE_EVERY = 10  # iterations between chemical-potential shift refreshes
 SHIFT_UPDATE_EVERY = 50  # iterations between automatic stabilization refreshes
+MERGE_DISTANCE = 1e-2  # phase-aligned distance at which two starts coincide
 
 
 @dataclass
@@ -103,8 +111,7 @@ class _Flow:
     guard keeps every backward-Euler denominator >= 1.  Constant
     shifts cancel at the fixed point, so none of this changes the converged
     state.  Each refresh also records the largest energy rise between
-    refreshes in `energy_rise`.  Strong Raman coupling (|omega| >= 100)
-    caps tau at LARGE_OMEGA_TAU.  `step` computes |psi|^2, tau*beta@|psi|^2
+    refreshes in `energy_rise`.  `step` computes |psi|^2, tau*beta@|psi|^2
     and the Raman term, and `change` the step's size, in work buffers built
     once per flow, so a flow is used by one thread at a time (each solve
     builds its own).
@@ -112,8 +119,6 @@ class _Flow:
 
     def __init__(self, disc: Discretization, tau: float):
         disc.check_flow()
-        if abs(disc.params.omega) >= 100.0:
-            tau = min(tau, LARGE_OMEGA_TAU)
         self.disc = disc
         self.tau = tau
         self.tau_beta = tau * disc.beta
@@ -212,13 +217,24 @@ def gfdn_step(phi: Spinor, params: Params, options: GfdnOptions) -> Spinor:
     return Spinor.from_stacked(phi.grid, flow.step(phi.psi))
 
 
-def _solve(params: Params, grid: Grid, options: GfdnOptions) -> GroundStateResult:
+def _gap(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
+    """Phase-aligned L2 distance of two unit-norm stacked spinors.
+
+    One inner product, for the merge test; it loses relative precision as
+    the distance shrinks, where `_aligned_distance` does not.
+    """
+    overlap = grid.cell_volume * abs(np.vdot(a, b))
+    return float(np.sqrt(max(2.0 - 2.0 * overlap, 0.0)))
+
+
+def _solve(params: Params, grid: Grid, options: GfdnOptions,
+           merge_into: np.ndarray | None = None) -> GroundStateResult:
     disc = discretization(grid, params)
     flow = _Flow(disc, options.tau)
     psi = build_initial_state(options.init, grid, params).psi
     flow.refresh(psi)
     residual = np.inf
-    converged = False
+    converged = merged = False
     iterations = 0
     warnings = list(disc.warnings)
     try:
@@ -232,11 +248,21 @@ def _solve(params: Params, grid: Grid, options: GfdnOptions) -> GroundStateResul
             if diff < options.tol:
                 converged = True
                 break
+            if merge_into is not None and it % MU_UPDATE_EVERY == 0:
+                gap = _gap(grid, merge_into, psi)
+                if gap < MERGE_DISTANCE:
+                    merged = True
+                    break
     except FloatingPointError as exc:
         warnings.append(str(exc))
     phi = Spinor.from_stacked(grid, psi)
 
-    if not converged:
+    if merged:
+        warnings.append(
+            f"stopped after {iterations} iterations at phase-aligned "
+            f"distance {gap:.2e} < {MERGE_DISTANCE:g} from the given state"
+        )
+    elif not converged:
         warnings.append(
             f"gradient flow did not reach tol={options.tol:g} within "
             f"{iterations} iterations (residual {residual:.3e})"
@@ -262,30 +288,33 @@ def _solve(params: Params, grid: Grid, options: GfdnOptions) -> GroundStateResul
     )
 
 
-def gfdn_solve(params: Params, grid: Grid,
-               options: GfdnOptions | None = None) -> GroundStateResult:
+def gfdn_solve(params: Params, grid: Grid, options: GfdnOptions | None = None,
+               merge_into: np.ndarray | None = None) -> GroundStateResult:
     """Lab-frame ground state on a Fourier grid (harmonic/free potentials).
 
     Box potentials are rejected unless k0 = 0, where the lab and tilde frames
-    coincide and the flow runs on the sine grid directly.
+    coincide and the flow runs on the sine grid directly.  Given a stacked
+    unit-norm `merge_into`, the flow stops, not converged, at the first
+    chemical-potential refresh within MERGE_DISTANCE of it.
     """
     options = options or GfdnOptions()
     if params.frame != LAB:
         raise ValueError("gfdn_solve runs the lab-frame flow; got tilde params")
-    return _solve(params, grid, options)
+    return _solve(params, grid, options, merge_into)
 
 
-def besp_solve(params: Params, grid: Grid,
-               options: GfdnOptions | None = None) -> GroundStateResult:
+def besp_solve(params: Params, grid: Grid, options: GfdnOptions | None = None,
+               merge_into: np.ndarray | None = None) -> GroundStateResult:
     """Tilde-frame ground state on a sine (Dirichlet) grid for box potentials.
 
     The result is reported in the tilde frame; `lab_view` supplies the
     gauge-transformed companion state and the lab energy E = E_tilde - k0^2/2.
+    `merge_into` stops the flow as in `gfdn_solve`.
     """
     options = options or GfdnOptions()
     if params.frame != TILDE:
         raise ValueError("besp_solve requires tilde-frame params")
-    return _solve(params, grid, options)
+    return _solve(params, grid, options, merge_into)
 
 
 def default_starts(params: Params, grid: Grid, singles: bool = False):
@@ -313,9 +342,16 @@ def multi_start(params: Params, grid: Grid, options: GfdnOptions | None = None,
     """Run the flow from several initial states; keep the lowest energy.
 
     Converged runs win over non-converged ones; among equals the lower energy
-    is kept.  With threads > 1 the independent starts fan out across a thread
-    pool; the selection rule is applied after all complete, so the result
-    does not depend on the worker count.
+    is kept.  Two states coincide when their phase-aligned distance
+    d = sqrt(2 - 2 h |<a, b>|) (h the cell volume) is below MERGE_DISTANCE.
+    The starts run in list order, each given the converged best so far as
+    `merge_into`, so a start stops, unconverged, at the first
+    chemical-potential refresh where it coincides with that state.  A run
+    that coincides with a converged best is a duplicate, warns "merged into
+    start k" and never replaces it, so each cluster keeps its earliest
+    start.  With threads > 1 the starts fan out across a thread pool and run
+    to completion (nothing merges mid-run); the same selection is applied
+    after all complete, so the result does not depend on the worker count.
     """
     options = options or GfdnOptions()
     if starts is None:
@@ -324,8 +360,10 @@ def multi_start(params: Params, grid: Grid, options: GfdnOptions | None = None,
         raise ValueError("multi_start needs at least one initial state")
     solve = besp_solve if params.frame == TILDE else gfdn_solve
 
-    def run(init):
-        return solve(params, grid, replace(options, init=init))
+    def run(init, best=None):
+        target = best.phi.psi if best is not None and best.converged else None
+        return solve(params, grid, replace(options, init=init),
+                     merge_into=target)
 
     if threads > 1 and len(starts) > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -333,11 +371,18 @@ def multi_start(params: Params, grid: Grid, options: GfdnOptions | None = None,
         with ThreadPoolExecutor(max_workers=threads) as pool:
             runs = list(pool.map(run, starts))
     else:
-        runs = [run(init) for init in starts]
-    best = runs[0]
-    for res in runs[1:]:
-        if (res.converged, -res.energy) > (best.converged, -best.energy):
-            best = res
+        runs = [run(starts[0])]  # the rest run below, one at a time
+    k = 0  # index of the best run so far
+    for i in range(1, len(starts)):
+        if i == len(runs):
+            runs.append(run(starts[i], runs[k]))
+        res, best = runs[i], runs[k]
+        if (best.converged
+                and _gap(grid, res.phi.psi, best.phi.psi) < MERGE_DISTANCE):
+            res.warnings.append(f"merged into start {k}")
+        elif (res.converged, -res.energy) > (best.converged, -best.energy):
+            k = i
+    best = runs[k]
     if len(starts) > 1:
         best.warnings = best.warnings + [f"selected from {len(starts)} starts"]
     return best

@@ -294,6 +294,52 @@ def test_multi_start_threads_deterministic_on_box():
     assert np.array_equal(a.phi.psi, b.phi.psi)
 
 
+SWEEP_1D = Params(omega=-2.0, beta11=1.0, beta12=0.5, beta22=1.0)
+
+
+def counted_solves(monkeypatch):
+    """Every `gfdn_solve` result, in call order, through the module hook."""
+    solved = []
+
+    def call(*args, _solve=ground_state.gfdn_solve, **kwargs):
+        res = _solve(*args, **kwargs)
+        solved.append(res)
+        return res
+
+    monkeypatch.setattr(ground_state, "gfdn_solve", call)
+    return solved
+
+
+def test_multi_start_saddle_does_not_absorb_the_ground_state(monkeypatch):
+    # the opposite start converges to the E = +1.6438 excited state; the pair
+    # start passes far from it and must run on to the ground state
+    solved = counted_solves(monkeypatch)
+    best = multi_start(SWEEP_1D, grid_1d(), GfdnOptions(),
+                       starts=["gaussian_opposite", "gaussian_pair"])
+    saddle, pair = solved
+    assert saddle.converged and saddle.energy > 1.6
+    assert pair.converged and best is pair
+    assert best.energy == pytest.approx(-0.35615008028781, abs=1e-10)
+
+
+def test_multi_start_merges_into_the_earliest_start(monkeypatch):
+    g, p = grid_1d(), SWEEP_1D.with_(k0=0.05)
+    starts = ["gaussian_pair", "gaussian_opposite"]
+    alone = gfdn_solve(p, g, GfdnOptions(init="gaussian_pair"))
+    solved = counted_solves(monkeypatch)
+    best = multi_start(p, g, GfdnOptions(), starts=starts)
+    pair, opposite = solved
+    assert best is pair
+    assert np.array_equal(best.phi.psi, alone.phi.psi)
+    # run to its own tolerance the opposite start takes 4,935 iterations
+    assert not opposite.converged and opposite.iterations <= 4_000
+    assert any("merged into start 0" in w for w in opposite.warnings)
+    # with threads nothing merges; the duplicate still keeps the pair start
+    threaded = multi_start(p, g, GfdnOptions(), starts=starts, threads=2)
+    assert np.array_equal(threaded.phi.psi, best.phi.psi)
+    assert threaded.energy == best.energy
+
+
 def test_multi_start_needs_starts():
     g = grid_1d(64)
     with pytest.raises(ValueError):
@@ -468,8 +514,9 @@ def test_flow_iteration_guard(g, p, init, max_iters):
 # ---- one path per solve ------------------------------------------------------
 
 def test_gfdn_step_matches_one_solver_iteration_at_large_omega():
-    # |omega| >= 100 caps tau in the flow itself, so the single-step API and
-    # the solver take the same step
+    # strong Raman coupling takes the options' tau like any other problem:
+    # the stabilization shift bounds the explicit |omega|/2, so the
+    # single-step API and the solver's first iteration are the same step
     g = grid_1d(64, -8.0, 8.0)
     p = Params(k0=1.0, omega=200.0, beta11=10.0, beta12=9.0, beta22=9.0)
     start = build_initial_state("gaussian_pair", g, p)
@@ -477,6 +524,31 @@ def test_gfdn_step_matches_one_solver_iteration_at_large_omega():
     solved = gfdn_solve(p, g, GfdnOptions(tau=0.01, max_iters=1,
                                           init="gaussian_pair"))
     assert np.array_equal(stepped.psi, solved.phi.psi)
+
+
+LAB_STRONG_RAMAN = Params(k0=1.0, omega=200.0, beta11=10.0, beta12=9.0,
+                          beta22=9.0)
+BOX_STRONG_RAMAN = Params(k0=3.0, omega=300.0, beta11=10.0, beta12=9.0,
+                          beta22=9.0, potential="box", frame="tilde")
+
+
+@pytest.mark.parametrize("solve, p, g, init, max_iters, e_ref", [
+    # a flow capped at tau = 1e-3 needs 18,596 / 40,291 and 4,229 / 8,162
+    (gfdn_solve, LAB_STRONG_RAMAN, grid_1d(64, -8.0, 8.0), "gaussian_opposite",
+     2_500, -98.141917544492),
+    (gfdn_solve, LAB_STRONG_RAMAN, grid_1d(64, -8.0, 8.0), "gaussian_pair",
+     5_500, -98.141917544492),
+    (besp_solve, BOX_STRONG_RAMAN, box_1d(64), "gaussian_opposite",
+     800, -141.191545495086),
+    (besp_solve, BOX_STRONG_RAMAN, box_1d(64), "gaussian_pair",
+     1_500, -141.191545495086),
+])
+def test_strong_raman_converges_at_the_default_tau(solve, p, g, init,
+                                                   max_iters, e_ref):
+    res = solve(p, g, GfdnOptions(init=init, max_iters=max_iters))
+    assert res.converged
+    assert res.energy == pytest.approx(e_ref, abs=1e-10)
+    assert not any("energy increased" in w for w in res.warnings)
 
 
 @pytest.mark.parametrize("solve, p, g", [

@@ -6,7 +6,8 @@ looked up at call time.
 drops or renames one, or binds it where the wrapper cannot reach it, leaves
 the rest of the suite green while the traced benchmark breaks or reads 0.
 This runs one traced benchmark invocation of a small com_compare config on
-a Fourier grid and one of a small box ground state on a sine grid.
+a Fourier grid, one of a small box ground state on a sine grid, and one of
+an `init = auto` ground state whose second start merges into the first.
 """
 
 import json
@@ -56,6 +57,23 @@ beta22 = 9
 potential = box
 """
 
+# default_starts runs the pair start, then the opposite start, which merges
+# into the pair start's state before reaching its own tolerance
+AUTO_CONFIG = """
+[run]
+mode = ground_state
+[grid]
+x = -16, 16, 128, fourier
+[params]
+k0 = 0.05
+omega = -2
+beta11 = 1
+beta12 = 0.5
+beta22 = 1
+[gfdn]
+init = auto
+"""
+
 # config, evolve steps, flow solves, checkpoints written, fewest observables
 # calls, layers that must read > 0
 CASES = {
@@ -68,9 +86,7 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_traced_benchmark_invocation_reaches_every_hook(tmp_path, case):
-    text, steps, solves, saves, records, timed_layers = CASES[case]
+def traced_child(tmp_path, text):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     result = tmp_path / "result.json"
@@ -83,7 +99,13 @@ def test_traced_benchmark_invocation_reaches_every_hook(tmp_path, case):
                           text=True, timeout=300)
     # an AttributeError here names the hook that is gone
     assert proc.returncode == 0, proc.stderr
-    data = json.loads(result.read_text())
+    return json.loads(result.read_text())
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_traced_benchmark_invocation_reaches_every_hook(tmp_path, case):
+    text, steps, solves, saves, records, timed_layers = CASES[case]
+    data = traced_child(tmp_path, text)
     assert data["rc"] == 0
     # child.py's own probes: solver, flow-iteration and evolve counters
     assert data["gs_s"] > 0 and data["flow_iters"] > 0
@@ -101,3 +123,29 @@ def test_traced_benchmark_invocation_reaches_every_hook(tmp_path, case):
     # the solvers reach them through `Grid.forward`/`inverse`
     assert layers["grid.transform_calls"] >= 2 * layers["ground_state.iters"]
     assert layers["grid.bytes_computed"] > 0
+
+
+def test_traced_child_counts_the_iterations_of_merged_starts(tmp_path,
+                                                             monkeypatch):
+    from socbec import ground_state
+    from socbec.config import parse_config
+
+    solved = []
+
+    def counting(*args, _solve=ground_state.gfdn_solve, **kwargs):
+        res = _solve(*args, **kwargs)
+        solved.append(res)
+        return res
+
+    monkeypatch.setattr(ground_state, "gfdn_solve", counting)
+    cfg = parse_config(AUTO_CONFIG)
+    ground_state.solve_ground_state(cfg.params, cfg.grid, cfg.gfdn)
+    pair, opposite = solved
+    assert pair.converged and not opposite.converged
+    assert "merged into start 0" in opposite.warnings
+
+    data = traced_child(tmp_path, AUTO_CONFIG)
+    assert data["rc"] == 0
+    iterations = sum(r.iterations for r in solved)
+    assert data["flow_iters"] == iterations
+    assert data["layers"]["ground_state.iters"] == iterations
