@@ -57,9 +57,12 @@ from .model import (LAB, TILDE, Discretization, Params, Spinor,
 def step_count(tau: float, t_end: float) -> int:
     """Number of fixed steps tau that reach t_end exactly.
 
-    Raises ValueError unless tau > 0, t_end >= 0 and t_end is an integer
-    multiple of tau (to 1e-9 relative).
+    Raises ValueError unless tau and t_end are finite, tau > 0, t_end >= 0
+    and t_end is an integer multiple of tau (to 1e-9 relative).
     """
+    for name, value in (("tau", tau), ("t_end", t_end)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if tau <= 0:
         raise ValueError("tau must be positive")
     if t_end < 0:

@@ -6,9 +6,15 @@ implicit block holds the constant-coefficient part (Laplacian, spin-orbit
 derivative, +-delta/2, a stabilization shift, and an adaptive
 chemical-potential shift); trap, nonlinearity and Raman coupling are
 evaluated at the previous iterate.  The chemical-potential shift is updated
-from the running iterate so the converged state solves the discrete
-nonlinear eigenproblem to the stopping tolerance independently of the
-fictitious time step.
+from the running iterate.
+
+A solve converges when the discrete L2 eigen residual ||H(psi)psi - mu psi||
+(mu = E + quartic) is below `tol` (the residual stop of Antoine, Levitt &
+Tang 2017).  The step test max|psi_new - psi|/tau < tol is a cheap
+pre-check: only when it passes is the residual computed (one transform
+pair), and after a failed check the next one waits for the next
+chemical-potential refresh.  `GroundStateResult.residual` is the eigen
+residual of the returned state, converged or not.
 
 Two entry points share the machinery: `gfdn_solve` runs the lab-frame flow
 on Fourier grids (harmonic or free potentials), and `besp_solve` runs the
@@ -61,9 +67,10 @@ class GfdnOptions:
     """Gradient-flow controls.
 
     init takes any spec of `states.build_initial_state` (a `Spinor`
-    included) or "auto" (see the module docstring).  The stabilization and
-    chemical-potential shifts are not options: `_Flow.refresh` derives them
-    from the running iterate.
+    included) or "auto" (see the module docstring).  tau is the smallest
+    step the flow takes: `_Flow.refresh` derives the step and the
+    stabilization and chemical-potential shifts from the running iterate.
+    tol bounds the eigen residual of a converged result.
     """
 
     tau: float = 0.01
@@ -72,16 +79,24 @@ class GfdnOptions:
     init: object = "gaussian_pair"
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        for name in ("tau", "tol"):
+            value = getattr(self, name)
+            if not np.isfinite(value) or value <= 0:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {value!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
 
 @dataclass
 class GroundStateResult:
+    """A solve's returned state.
+
+    residual is the discrete L2 eigen residual ||H(phi)phi - mu phi|| of
+    `phi`, the one `model.eigen_residual` gives; converged means it is
+    below the options' tol.
+    """
+
     phi: Spinor
     energy: float
     mu: float
@@ -104,13 +119,13 @@ class _Flow:
 
     The flow works on stacked (2, *shape) arrays.  `Grid.forward` and
     `Grid.inverse` are an exact inverse pair, so the denominators need no
-    transform scale factor.  `refresh` is the one shift policy: the
-    stabilization shift alpha is the tau-aware bound of `refresh`, refreshed
-    every SHIFT_UPDATE_EVERY iterations; the chemical-potential shift
-    mu_hat = E + quartic is refreshed every MU_UPDATE_EVERY; a positivity
-    guard keeps every backward-Euler denominator >= 1.  Constant
-    shifts cancel at the fixed point, so none of this changes the converged
-    state.  Each refresh also records the largest energy rise between
+    transform scale factor.  `refresh` is the one step and shift policy: the
+    step tau (at least the options' tau) and the stabilization shift alpha
+    are refreshed every SHIFT_UPDATE_EVERY iterations; the
+    chemical-potential shift mu_hat = E + quartic is refreshed every
+    MU_UPDATE_EVERY; a positivity guard keeps every backward-Euler
+    denominator >= 1.  Constant shifts cancel at the fixed point, so none of
+    this changes the converged state.  Each refresh also records the largest energy rise between
     refreshes in `energy_rise`.  `step` computes |psi|^2, tau*beta@|psi|^2
     and the Raman term, and `change` the step's size, in work buffers built
     once per flow, so a flow is used by one thread at a time (each solve
@@ -120,9 +135,8 @@ class _Flow:
     def __init__(self, disc: Discretization, tau: float):
         disc.check_flow()
         self.disc = disc
-        self.tau = tau
-        self.tau_beta = tau * disc.beta
-        self.tau_coupling = tau * disc.coupling
+        self.tau_min = tau
+        self.set_tau(tau)
         self.inv_den = None
         self.lin = None
         self.alpha = None
@@ -142,10 +156,16 @@ class _Flow:
         return floor
 
     def refresh(self, psi: np.ndarray, it: int = 0):
-        """Shift refresh after iteration `it` (0: set-up on the start state).
+        """Step and shift refresh after iteration `it` (0: set-up on the start).
 
-        With u = max(V + beta*rho), the explicit part of a node is at most
-        U = u + |omega|/2, and every mode's symbol is at least
+        Step: the linearized explicit term of a node (along psi the
+        derivative of beta*rho*psi is 3*beta*rho) is at most
+        U_lin = max(V + 3*beta*rho) + |omega|/2.  Where U_lin > floor, tau
+        becomes max(tau_min, 1/(U_lin - floor)): with the shift at floor,
+        every explicit factor 1 + tau*(floor - W), W <= U_lin, stays >= 0.
+
+        Shift: with u = max(V + beta*rho), the explicit part of a node is at
+        most U = u + |omega|/2, and every mode's symbol is at least
         mu_hat - floor.  The frozen-coefficient amplification
         (1 + tau*(alpha - U)) / (1 + tau*(alpha - mu_hat + symbol)) stays at
         or above -1 exactly when alpha >= (U + floor)/2 - 1/tau, and a
@@ -153,7 +173,8 @@ class _Flow:
         bound.  The `min` with u/2 (the tau-independent shift of the
         stabilized BESP scheme, Bao, Chern & Lim 2006) keeps alpha from
         ever rising above it, so large tau steps as before; the applied
-        shift is max(alpha, floor).
+        shift is max(alpha, floor).  A raised tau puts alpha below floor
+        (U <= U_lin), so a raised step always runs at the floor.
         """
         if it % MU_UPDATE_EVERY:
             return
@@ -164,10 +185,22 @@ class _Flow:
         mu_hat = e + quartic
         floor = self.guard_floor(mu_hat)
         if it % SHIFT_UPDATE_EVERY == 0:
-            u = float(d.potential(psi).max())
-            bound = 0.5 * (u + 0.5 * abs(d.params.omega) + floor) - 1.0 / self.tau
+            pot = d.potential(psi)
+            half_omega = 0.5 * abs(d.params.omega)
+            u = float(pot.max())
+            u_lin = float((3.0 * pot - 2.0 * d.v).max()) + half_omega
+            tau = self.tau_min
+            if u_lin > floor:
+                tau = max(tau, 1.0 / (u_lin - floor))
+            self.set_tau(tau)
+            bound = 0.5 * (u + half_omega + floor) - 1.0 / tau
             self.alpha = min(0.5 * u, bound)
         self.set_shifts(max(self.alpha, floor), mu_hat)
+
+    def set_tau(self, tau: float):
+        self.tau = tau
+        self.tau_beta = tau * self.disc.beta
+        self.tau_coupling = tau * self.disc.coupling
 
     def set_shifts(self, alpha: float, mu_hat: float):
         tau = self.tau
@@ -209,8 +242,9 @@ class _Flow:
 def gfdn_step(phi: Spinor, params: Params, options: GfdnOptions) -> Spinor:
     """Single gradient-flow step with discrete normalization.
 
-    Self-contained form of the solver's inner iteration: the stabilization
-    and chemical-potential shifts are computed from `phi` itself.
+    Self-contained form of the solver's inner iteration: the step (raised
+    above options.tau as in the solver) and the stabilization and
+    chemical-potential shifts are computed from `phi` itself.
     """
     flow = _Flow(discretization(phi.grid, params), options.tau)
     flow.refresh(phi.psi)
@@ -233,9 +267,8 @@ def _solve(params: Params, grid: Grid, options: GfdnOptions,
     flow = _Flow(disc, options.tau)
     psi = build_initial_state(options.init, grid, params).psi
     flow.refresh(psi)
-    residual = np.inf
     converged = merged = False
-    iterations = 0
+    iterations = check_from = 0
     warnings = list(disc.warnings)
     try:
         for it in range(1, options.max_iters + 1):
@@ -243,11 +276,14 @@ def _solve(params: Params, grid: Grid, options: GfdnOptions,
             diff = flow.change(new, psi)
             psi = new
             iterations = it
-            residual = diff
             flow.refresh(psi, it)
-            if diff < options.tol:
-                converged = True
-                break
+            if diff < options.tol and it >= check_from:
+                # the step test passed: certify on the eigen residual
+                residual = disc.eigen_residual(psi)
+                if residual < options.tol:
+                    converged = True
+                    break
+                check_from = (it // MU_UPDATE_EVERY + 1) * MU_UPDATE_EVERY
             if merge_into is not None and it % MU_UPDATE_EVERY == 0:
                 gap = _gap(grid, merge_into, psi)
                 if gap < MERGE_DISTANCE:
@@ -256,6 +292,8 @@ def _solve(params: Params, grid: Grid, options: GfdnOptions,
     except FloatingPointError as exc:
         warnings.append(str(exc))
     phi = Spinor.from_stacked(grid, psi)
+    if not converged:
+        residual = disc.eigen_residual(psi)
 
     if merged:
         warnings.append(
@@ -265,7 +303,7 @@ def _solve(params: Params, grid: Grid, options: GfdnOptions,
     elif not converged:
         warnings.append(
             f"gradient flow did not reach tol={options.tol:g} within "
-            f"{iterations} iterations (residual {residual:.3e})"
+            f"{iterations} iterations (eigen residual {residual:.3e})"
         )
     if flow.energy_rise > 1e-10:
         warnings.append(

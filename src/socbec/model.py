@@ -11,10 +11,10 @@ spin-orbit term for an oscillatory exp(+-2i*k0*x) factor on the Raman term.
 `discretization(grid, params)` returns the one cached `Discretization` of a
 (grid, params) pair: its fields, spectral symbols, frame/basis rules,
 resolution warnings and the one copy of the discrete operator (energy, H psi,
-V + beta*rho), read by the functionals and the solvers.  On a Fourier x axis
-the lab-frame spin-orbit term sits in the diagonal symbol; on a sine x axis
-the lab operator is the tilde operator conjugated by the gauge map
-G = diag(e^{ik0x}, e^{-ik0x}), shifted by -k0^2/2.
+the eigen residual, V + beta*rho), read by the functionals and the solvers.
+On a Fourier x axis the lab-frame spin-orbit term sits in the diagonal
+symbol; on a sine x axis the lab operator is the tilde operator conjugated
+by the gauge map G = diag(e^{ik0x}, e^{-ik0x}), shifted by -k0^2/2.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ LAB = "lab"
 TILDE = "tilde"
 
 _GAMMA_NAMES = ("gamma_x", "gamma_y", "gamma_z")
+_FLOAT_FIELDS = ("k0", "omega", "delta", "beta11", "beta12",
+                 "beta22") + _GAMMA_NAMES
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,10 @@ class Params:
     frame: str = LAB
 
     def __post_init__(self):
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.potential not in (HARMONIC, BOX, FREE):
             raise ValueError(f"unknown potential {self.potential!r}")
         if self.frame not in (LAB, TILDE):
@@ -310,9 +316,14 @@ class Discretization:
         val += quartic + self.params.omega * self.overlap(psi)
         return val, quartic
 
-    def hamiltonian(self, psi: np.ndarray) -> np.ndarray:
-        """H(psi) psi of stacked psi, the Euler-Lagrange operator of the energy."""
-        c = self.grid.forward(self.ungauged(psi))
+    def hamiltonian(self, psi: np.ndarray,
+                    modes: np.ndarray | None = None) -> np.ndarray:
+        """H(psi) psi of stacked psi, the Euler-Lagrange operator of the energy.
+
+        `modes` is forward(G^-1 psi) when the caller already has it; it is
+        overwritten.
+        """
+        c = self.grid.forward(self.ungauged(psi)) if modes is None else modes
         c *= self.symbol
         h = self.grid.inverse(c, overwrite=True)
         if self.gauge is not None:
@@ -320,6 +331,20 @@ class Discretization:
         h += self.potential(psi) * psi
         h += self.coupling * psi[::-1]
         return h
+
+    def eigen_residual(self, psi: np.ndarray, mu: float | None = None) -> float:
+        """Discrete L2 norm of H(psi)psi - mu*psi; mu defaults to E + quartic.
+
+        One transform pair: the forward transform of G^-1 psi serves the
+        energy and H psi.
+        """
+        c = self.grid.forward(self.ungauged(psi))
+        if mu is None:
+            e, quartic = self.energy_parts(psi, abs2(c))
+            mu = e + quartic
+        r = self.hamiltonian(psi, c)
+        r -= mu * psi
+        return float(np.sqrt(self.grid.cell_volume * np.vdot(r, r).real))
 
 
 @functools.lru_cache(maxsize=4)
@@ -429,10 +454,7 @@ def apply_hamiltonian(phi: Spinor, params: Params) -> Spinor:
 
 def eigen_residual(phi: Spinor, params: Params, mu: float | None = None) -> float:
     """Discrete L2 norm of H(phi)phi - mu*phi (mu defaults to chemical_potential)."""
-    if mu is None:
-        mu = chemical_potential(phi, params)
-    r = apply_hamiltonian(phi, params).psi - mu * phi.psi
-    return float(np.sqrt(phi.grid.cell_volume * np.vdot(r, r).real))
+    return discretization(phi.grid, params).eigen_residual(phi.psi, mu)
 
 
 def gauge_transform(phi: Spinor, params: Params, direction: str) -> Spinor:

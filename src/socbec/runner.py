@@ -2,11 +2,16 @@
 
 Artifacts per run directory:
     run_manifest.txt   config echo (original + resolved), config sha256,
-                       library version, artifact list, study fit results
+                       library version, artifact list, study fit results,
+                       the energy, iterations, eigen residual and warnings
+                       of a ground-state solve (prefixed ground_state_ for
+                       the initial state of dynamics and com_compare)
     observables.csv    one row per record: t-or-iter, N, N1, N2, delta_N, E,
                        mu, xc per axis, P per axis, raman_overlap
                        (17-significant-digit decimal floats)
-    summary.csv        limit-study sweeps: one row per sweep value
+    summary.csv        limit-study sweeps: one row per sweep value, with its
+                       diagnostics, converged flag, iterations and eigen
+                       residual ||H psi - mu psi||
     lda_compare.csv    com-compare mode: PDE, closed-form and reduced-ODE
                        center-of-mass trajectories
     *.socb             binary checkpoints (final state, per-sweep states,
@@ -183,6 +188,20 @@ class _Run:
         if note not in self.notes:
             self.notes.append(note)
 
+    def report_solve(self, res, prefix: str = ""):
+        """Energy, mu, iterations, eigen residual and warnings of a solve,
+        as [results] lines; raises RunFailure unless it converged."""
+        self.notes.append(f"{prefix}energy {_fmt(res.energy)}")
+        self.notes.append(f"{prefix}mu {_fmt(res.mu)}")
+        self.notes.append(f"{prefix}iterations {res.iterations}")
+        self.notes.append(f"{prefix}residual {_fmt(res.residual)}")
+        for w in res.warnings:
+            self.warn(w)
+        if not res.converged:
+            raise RunFailure(
+                "ground-state solve did not converge: " + "; ".join(res.warnings)
+            )
+
     def path(self, name: str) -> Path:
         self.artifacts.append(name)
         return self.out / name
@@ -242,10 +261,7 @@ class _Run:
             return phi
         res = solve_ground_state(cfg.params, cfg.grid, cfg.gfdn,
                                  threads=self.threads)
-        if not res.converged:
-            raise RunFailure(
-                "ground-state solve did not converge: " + "; ".join(res.warnings)
-            )
+        self.report_solve(res, prefix="ground_state_")
         phi = res.phi
         if spec.kind == "shifted_ground_state":
             offset = spec.offset or (0.0,) * cfg.grid.dim
@@ -270,16 +286,7 @@ class _Run:
                             cfg.params.with_(frame=LAB),
                             iteration=res.iterations)
             self.notes.append(f"lab_energy {_fmt(e_lab)}")
-        self.notes.append(f"energy {_fmt(res.energy)}")
-        self.notes.append(f"mu {_fmt(res.mu)}")
-        self.notes.append(f"iterations {res.iterations}")
-        self.notes.append(f"residual {_fmt(res.residual)}")
-        for w in res.warnings:
-            self.warn(w)
-        if not res.converged:
-            raise RunFailure(
-                "ground-state solve did not converge: " + "; ".join(res.warnings)
-            )
+        self.report_solve(res)
 
     def _run_evolution(self, psi0: Spinor):
         cfg = self.config

@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from socbec import (Axis, Params, Spinor, eigen_residual, energy, load_checkpoint,
-                    make_grid, save_checkpoint)
+from socbec import (Axis, GfdnOptions, Params, Spinor, eigen_residual, energy,
+                    load_checkpoint, make_grid, save_checkpoint,
+                    solve_ground_state)
 from socbec.cli import main
 
 GS_CONFIG = """
@@ -242,6 +243,43 @@ t_end = 0.2
     manifest = (out / "run_manifest.txt").read_text()
     assert "lda_conserved_drift" in manifest
     assert "max_dev_closed_form" in manifest
+
+
+def results_section(out):
+    lines = (out / "run_manifest.txt").read_text().splitlines()
+    start = lines.index("[results]") + 1
+    return lines[start:lines.index("", start)]
+
+
+def test_initial_ground_state_is_reported(tmp_path):
+    # a com_compare run's initial ground state reaches [results] as a
+    # ground_state run's does, warnings included
+    text = DYN_CONFIG.replace("mode = dynamics", "mode = com_compare").replace(
+        "[initial]\nkind = gaussian\ncenter = 1.0",
+        "[initial]\nkind = shifted_ground_state\noffset = 1.0\n"
+        "[gfdn]\ninit = auto")
+    out = tmp_path / "out"
+    assert main(["run", write(tmp_path, "com.cfg", text), "--out", str(out)]) == 0
+    fields = dict(ln.split(" ", 1) for ln in results_section(out))
+    g = make_grid([Axis(-16.0, 16.0, 64)])
+    p = Params(k0=1.0, omega=4.0, beta11=2.0, beta12=2.0, beta22=2.0)
+    res = solve_ground_state(p, g, GfdnOptions(init="auto"))
+    assert res.converged
+    assert float(fields["ground_state_energy"]) == res.energy
+    assert float(fields["ground_state_mu"]) == res.mu
+    assert int(fields["ground_state_iterations"]) == res.iterations
+    assert float(fields["ground_state_residual"]) == res.residual
+    assert res.residual == eigen_residual(res.phi, p) < 1e-7
+    assert "warning selected from 2 starts" in results_section(out)
+    assert "lda_conserved_drift" in fields
+
+    # an unconverged initial solve fails the run and still reports itself
+    cfg = write(tmp_path, "short.cfg", text + "max_iters = 1\n")
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    results = results_section(out)
+    assert "ground_state_iterations 1" in results
+    assert any(ln.startswith("warning gradient flow did not reach")
+               for ln in results)
 
 
 def test_manifest_shows_the_lda_t_end_the_ode_runs_to(tmp_path):

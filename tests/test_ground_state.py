@@ -217,6 +217,8 @@ def test_besp_max_iters_guard_returns_flagged_result():
     assert not res.converged
     assert res.iterations == 1
     assert any("did not reach" in w for w in res.warnings)
+    # an unconverged result reports the eigen residual of its state too
+    assert res.residual == eigen_residual(res.phi, p) > GfdnOptions().tol
 
 
 def test_single_component_structure_at_zero_raman_box():
@@ -449,6 +451,9 @@ COM_2D_PARAMS = Params(k0=2.0, omega=50.0, beta11=10.0, beta12=10.0,
                        beta22=10.0, gamma_x=2.0, gamma_y=2.0)
 SWEEP_1D_PARAMS = Params(k0=0.0125, omega=-2.0, beta11=1.0, beta12=0.5,
                          beta22=1.0)
+BOX_GS_GRID = make_grid([Axis(-1.0, 1.0, 64, "sine")] * 2)
+BOX_GS_PARAMS = Params(k0=10.0, omega=50.0, beta11=10.0, beta12=9.0,
+                       beta22=9.0, potential="box", frame="tilde")
 
 
 @pytest.mark.parametrize("g, p, tau", [
@@ -467,18 +472,29 @@ def test_refresh_sets_the_tau_aware_shift(g, p, tau):
     flow.refresh(psi)
     e, quartic = d.energy_parts(psi)
     floor = flow.guard_floor(e + quartic)
-    u = float(d.potential(psi).max())
+    pot = d.potential(psi)
+    u = float(pot.max())
+    # the bound of the linearized explicit term, V + 3*beta*rho + |omega|/2
+    u_lin = float((3.0 * pot - 2.0 * d.v).max()) + 0.5 * abs(p.omega)
+    assert u_lin > floor
+    step = max(tau, 1.0 / (u_lin - floor))
+    assert flow.tau == step
     assert flow.alpha == min(0.5 * u,
-                             0.5 * (u + 0.5 * abs(p.omega) + floor) - 1.0 / tau)
+                             0.5 * (u + 0.5 * abs(p.omega) + floor) - 1.0 / step)
     assert flow.alpha <= 0.5 * u  # never above the tau-independent shift
+    if step > tau:
+        # a raised step runs at the guard floor
+        assert flow.alpha < floor
+        assert np.array_equal(flow.lin, 1.0 + step * (floor - d.v))
+    else:
+        # the trap keeps every trapped benchmark problem at its own tau
+        assert g.is_fourier
 
 
 def test_box_shift_stays_at_the_guard_floor():
     # box_gs's k0 = 10 problem: the tau-aware shift never rises above the
     # positivity guard, so every refresh applies guard_floor itself
-    g = make_grid([Axis(-1.0, 1.0, 64, "sine")] * 2)
-    p = Params(k0=10.0, omega=50.0, beta11=10.0, beta12=9.0, beta22=9.0,
-               potential="box", frame="tilde")
+    g, p = BOX_GS_GRID, BOX_GS_PARAMS
     flow = ground_state._Flow(discretization(g, p), GfdnOptions().tau)
     applied = []
     set_shifts = flow.set_shifts
@@ -497,33 +513,110 @@ def test_box_shift_stays_at_the_guard_floor():
     assert all(alpha == floor for alpha, floor in applied)
 
 
-@pytest.mark.parametrize("g, p, init, max_iters", [
+@pytest.mark.parametrize("g, p, init, max_iters, e_ref", [
     # sweep_1d's first point: 636 iterations here, 1,003 with alpha = u/2
-    (grid_1d(128), SWEEP_1D_PARAMS, "gaussian_pair", 800),
-    (COM_2D_GRID, COM_2D_PARAMS, "gaussian_opposite", 600),
-    (COM_2D_GRID, COM_2D_PARAMS, "gaussian_pair", 3_500),
-], ids=["sweep_1d", "com_2d_opposite", "com_2d_pair"])
-def test_flow_iteration_guard(g, p, init, max_iters):
-    res = gfdn_solve(p, g, GfdnOptions(init=init, max_iters=max_iters))
+    (grid_1d(128), SWEEP_1D_PARAMS, "gaussian_pair", 800,
+     -0.35617378167840158),
+    (COM_2D_GRID, COM_2D_PARAMS, "gaussian_opposite", 600, None),
+    (COM_2D_GRID, COM_2D_PARAMS, "gaussian_pair", 3_500, None),
+    # box_gs's k0 = 10 problem: 6,005 iterations without the step raise
+    (BOX_GS_GRID, BOX_GS_PARAMS, "gaussian_opposite", 3_000,
+     1.4286313646457716),
+], ids=["sweep_1d", "com_2d_opposite", "com_2d_pair", "box_gs_k0_10"])
+def test_flow_iteration_guard(g, p, init, max_iters, e_ref):
+    solve = besp_solve if p.frame == "tilde" else gfdn_solve
+    opts = GfdnOptions(init=init, max_iters=max_iters)
+    res = solve(p, g, opts)
     assert res.converged
+    assert res.residual < opts.tol
     assert not any("energy increased" in w for w in res.warnings)
-    if p is SWEEP_1D_PARAMS:
-        assert res.energy == pytest.approx(-0.35617378167840158, abs=1e-10)
+    if e_ref is not None:
+        assert res.energy == pytest.approx(e_ref, abs=1e-10)
+
+
+# (grid, params, {start: energy of a tau = 0.01 flow that stops on the step
+# test alone}); stopped on the step test, the raised box flows leave eigen
+# residuals of up to 1.8e-7
+CERTIFIED_STOP_CASES = {
+    "box_1d_omega_5": (
+        box_1d(64), Params(k0=2.0, omega=5.0, beta11=10.0, beta12=9.0,
+                           beta22=9.0, potential="box", frame="tilde"),
+        {"gaussian_pair": 3.038255313173519,
+         "gaussian_opposite": 3.0382553131735177}),
+    # the pair start settles on a higher stationary state than the opposite
+    "box_1d_omega_1": (
+        box_1d(64), Params(k0=1.0, omega=1.0, beta11=3.0, beta12=2.0,
+                           beta22=3.0, potential="box", frame="tilde"),
+        {"gaussian_pair": 2.467908144233721,
+         "gaussian_opposite": 1.7439345872374519}),
+    # a step bound from V + beta*rho instead of V + 3*beta*rho raises the
+    # energy here by up to 94 between refreshes
+    "box_1d_beta_100": (
+        box_1d(64), Params(k0=1.0, omega=0.0, beta11=100.0, beta12=50.0,
+                           beta22=100.0, potential="box", frame="tilde"),
+        {"gaussian_pair": 23.375597921696208,
+         "gaussian_opposite": 23.375597921696208}),
+    "box_32x32": (
+        make_grid([Axis(-1.0, 1.0, 32, "sine")] * 2),
+        Params(k0=3.0, omega=10.0, beta11=30.0, beta12=25.0, beta22=30.0,
+               potential="box", frame="tilde"),
+        {"gaussian_pair": 6.636784496404731,
+         "gaussian_opposite": 6.607822866960767}),
+    "lab_1d_narrow": (
+        grid_1d(64, -2.0, 2.0), Params(k0=0.5, omega=-1.0, beta11=1.0,
+                                       beta12=0.5, beta22=1.0),
+        {"gaussian_pair": 0.055827177092571234,
+         "gaussian_opposite": 0.055827177092587665}),
+    "lab_1d_wide": (
+        grid_1d(128, -8.0, 8.0), Params(k0=3.0, omega=-1.0, beta11=1.0,
+                                        beta12=0.5, beta22=1.0),
+        {"gaussian_pair": -3.8704365748047453,
+         "gaussian_opposite": -3.870641147119947}),
+    "lab_32x32": (
+        make_grid([Axis(-4.0, 4.0, 32)] * 2),
+        Params(k0=1.0, omega=-2.0, beta11=5.0, beta12=5.0, beta22=5.0),
+        {"gaussian_pair": 0.17994320020952914,
+         "gaussian_opposite": 0.622662901484788}),
+}
+
+
+@pytest.mark.parametrize("case, init", [
+    (case, init) for case in CERTIFIED_STOP_CASES
+    for init in ("gaussian_pair", "gaussian_opposite")])
+def test_certified_stop_keeps_the_states(case, init):
+    # the raised step and the residual stop reach each start's state, and a
+    # converged result's residual is the eigen residual of its state
+    g, p, energies = CERTIFIED_STOP_CASES[case]
+    solve = besp_solve if p.frame == "tilde" else gfdn_solve
+    opts = GfdnOptions(init=init)
+    res = solve(p, g, opts)
+    assert res.converged
+    assert res.residual < opts.tol
+    assert res.residual == eigen_residual(res.phi, p)
+    assert res.energy == pytest.approx(energies[init], abs=1e-10)
+    assert not any("energy increased" in w for w in res.warnings)
 
 
 # ---- one path per solve ------------------------------------------------------
 
-def test_gfdn_step_matches_one_solver_iteration_at_large_omega():
-    # strong Raman coupling takes the options' tau like any other problem:
-    # the stabilization shift bounds the explicit |omega|/2, so the
-    # single-step API and the solver's first iteration are the same step
-    g = grid_1d(64, -8.0, 8.0)
-    p = Params(k0=1.0, omega=200.0, beta11=10.0, beta12=9.0, beta22=9.0)
-    start = build_initial_state("gaussian_pair", g, p)
-    stepped = gfdn_step(start, p, GfdnOptions(tau=0.01))
-    solved = gfdn_solve(p, g, GfdnOptions(tau=0.01, max_iters=1,
-                                          init="gaussian_pair"))
-    assert np.array_equal(stepped.psi, solved.phi.psi)
+@pytest.mark.parametrize("solve, g, p, init", [
+    pytest.param(gfdn_solve, grid_1d(64, -8.0, 8.0),
+                 Params(k0=1.0, omega=200.0, beta11=10.0, beta12=9.0,
+                        beta22=9.0),
+                 "gaussian_pair", id="lab_omega_200"),
+    pytest.param(besp_solve, BOX_GS_GRID, BOX_GS_PARAMS, "gaussian_opposite",
+                 id="box_gs_k0_10"),
+])
+def test_gfdn_step_matches_one_solver_iteration(solve, g, p, init):
+    # the single-step API and the solver's first iteration are the same
+    # step; both starts raise it above the options' tau
+    opts = GfdnOptions(tau=0.01, max_iters=1, init=init)
+    start = build_initial_state(init, g, p)
+    flow = ground_state._Flow(discretization(g, p), opts.tau)
+    flow.refresh(start.psi)
+    assert flow.tau > opts.tau
+    stepped = gfdn_step(start, p, opts)
+    assert np.array_equal(stepped.psi, solve(p, g, opts).phi.psi)
 
 
 LAB_STRONG_RAMAN = Params(k0=1.0, omega=200.0, beta11=10.0, beta12=9.0,
@@ -664,10 +757,9 @@ def reference_flow(solve_params, g, init, iters):
         c *= flow.inv_den
         new = from_modes(c)
         new /= np.sqrt(g.cell_volume * np.vdot(new, new).real)
-        residual = float(np.abs(new - psi).max()) / flow.tau
         psi = new
         flow.refresh(psi, it)
-    return psi, residual
+    return psi
 
 
 BIT_IDENTITY_CASES = [
@@ -694,11 +786,11 @@ BIT_IDENTITY_CASES = [
 
 @pytest.mark.parametrize("solve, g, p, init", BIT_IDENTITY_CASES)
 def test_flow_iterates_are_bit_identical_to_the_plain_loop(solve, g, p, init):
-    psi, residual = reference_flow(p, g, init, 60)
+    psi = reference_flow(p, g, init, 60)
     res = solve(p, g, GfdnOptions(tol=1e-12, max_iters=60, init=init))
     assert res.iterations == 60
     assert np.array_equal(res.phi.psi, psi)
-    assert res.residual == residual
+    assert res.residual == eigen_residual(Spinor.from_stacked(g, psi), p)
 
 
 @pytest.mark.parametrize("g, p", [

@@ -4,6 +4,8 @@ import pytest
 from socbec import (
     Axis,
     BandParams,
+    EvolveOptions,
+    GfdnOptions,
     Params,
     Spinor,
     apply_hamiltonian,
@@ -565,3 +567,25 @@ def test_spinor_validation():
         Params(potential="lattice")
     with pytest.raises(ValueError):
         Params(frame="rotating")
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("cls, kwargs, name", [
+    (GfdnOptions, {"tau": NAN}, "tau"),
+    (GfdnOptions, {"tau": INF}, "tau"),
+    (GfdnOptions, {"tol": INF}, "tol"),
+    (GfdnOptions, {"tol": NAN}, "tol"),
+    (EvolveOptions, {"tau": INF, "t_end": 1.0}, "tau"),
+    (EvolveOptions, {"tau": NAN, "t_end": 1.0}, "tau"),
+    (EvolveOptions, {"tau": 0.01, "t_end": INF}, "t_end"),
+    (EvolveOptions, {"tau": 0.01, "t_end": NAN}, "t_end"),
+] + [(Params, {name: bad}, name)
+      for name in ("k0", "omega", "delta", "beta11", "beta12", "beta22",
+                   "gamma_x", "gamma_y", "gamma_z")
+      for bad in (NAN, -INF)])
+def test_library_api_rejects_non_finite_values(cls, kwargs, name):
+    # the config parser rejects these too; the dataclasses must not rely on it
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        cls(**kwargs)
