@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-    socbec run <config-file> [--out DIR] [--threads N]
+    socbec run <config-file> [--out DIR]
     socbec validate <config-file>
 
 `validate` parses the config and runs the same dry run (`runner.preflight`)
@@ -9,36 +9,16 @@ an unreadable initial checkpoint or one on another grid included.
 
 Exit codes: 0 success, 1 usage/parse/validation error or an output path
 that cannot be a directory, 2 run failure (any error once `run` has made its
-output directory; FAILED marker and manifest written).  --threads
-falls back to the SOCBEC_THREADS environment variable, then 1; a count
-below 1, or an environment value that is not a positive integer, is a usage
-error.
+output directory; FAILED marker and manifest written).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .config import ConfigError, load_config
 from .runner import EXIT_OK, EXIT_USAGE, RunFailure, preflight, run
-
-
-def _threads(option: int | None) -> int:
-    """Worker count: --threads, else SOCBEC_THREADS, else 1."""
-    if option is not None:
-        if option < 1:
-            raise ValueError(f"--threads must be at least 1, got {option}")
-        return option
-    env = os.environ.get("SOCBEC_THREADS", "1")
-    try:
-        count = int(env)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ValueError(f"SOCBEC_THREADS must be a positive integer, got {env!r}")
-    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,9 +31,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute an experiment config")
     p_run.add_argument("config", help="path to the config file")
     p_run.add_argument("--out", default=None, help="output directory override")
-    p_run.add_argument("--threads", type=int, default=None,
-                       help="worker threads for sweep fan-out "
-                            "(default: SOCBEC_THREADS or 1)")
     p_val = sub.add_parser("validate", help="parse and validate a config")
     p_val.add_argument("config", help="path to the config file")
     return parser
@@ -86,12 +63,7 @@ def main(argv=None) -> int:
         print(f"{args.config}: ok ({config.mode} mode, {config.grid!r})")
         return EXIT_OK
     try:
-        threads = _threads(args.threads)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return run(config, out_dir=args.out, threads=threads)
+        return run(config, out_dir=args.out)
     except OSError as exc:  # from making the output directory
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

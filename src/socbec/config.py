@@ -319,4 +319,10 @@ def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
-    return parse_config(path.read_text(encoding="utf-8"), base_dir=path.parent)
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"not UTF-8 text (byte 0x{data[exc.start]:02x})",
+                          data.count(b"\n", 0, exc.start) + 1) from None
+    return parse_config(text, base_dir=path.parent)

@@ -49,7 +49,7 @@ from functools import partial
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, check_integer
 from .model import (LAB, TILDE, Discretization, Params, Spinor,
                     discretization, observables)
 
@@ -82,6 +82,8 @@ class EvolveOptions:
 
     def __post_init__(self):
         step_count(self.tau, self.t_end)
+        check_integer("record_every", self.record_every)
+        check_integer("snapshot_every", self.snapshot_every)
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
         if self.snapshot_every < 0:

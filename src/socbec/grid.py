@@ -73,6 +73,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import operator
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -133,6 +134,14 @@ SINE = "sine"
 DENSE_SINE_MAX_N = 96
 
 
+def check_integer(name: str, value) -> None:
+    """Raise ValueError naming `name` unless `value` is an integer."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Axis:
     """One spatial axis: domain [lo, hi], n grid intervals, spectral basis."""
@@ -147,6 +156,7 @@ class Axis:
             raise ValueError(f"unknown basis {self.basis!r}")
         if not np.isfinite(self.lo) or not np.isfinite(self.hi):
             raise ValueError("axis bounds must be finite")
+        check_integer("n", self.n)
         if self.hi <= self.lo:
             raise ValueError(f"axis needs hi > lo, got [{self.lo}, {self.hi}]")
         if self.n < 4:

@@ -33,8 +33,7 @@ their phase-aligned distance sqrt(2 - 2 h |<a, b>|) (h the cell volume) is
 below MERGE_DISTANCE.  Run in list order, each start is given the converged
 best so far and stops, unconverged, once it coincides with it; a converged
 duplicate never replaces the best, so the earliest start of a cluster is
-kept.  With threads > 1 nothing merges mid-run and the
-same rule selects the same start.
+kept.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, check_integer
 from .model import (
     LAB,
     TILDE,
@@ -84,6 +83,7 @@ class GfdnOptions:
             if not np.isfinite(value) or value <= 0:
                 raise ValueError(f"{name} must be positive and finite, "
                                  f"got {value!r}")
+        check_integer("max_iters", self.max_iters)
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -128,8 +128,7 @@ class _Flow:
     this changes the converged state.  Each refresh also records the largest energy rise between
     refreshes in `energy_rise`.  `step` computes |psi|^2, tau*beta@|psi|^2
     and the Raman term, and `change` the step's size, in work buffers built
-    once per flow, so a flow is used by one thread at a time (each solve
-    builds its own).
+    once per flow (each solve builds its own).
     """
 
     def __init__(self, disc: Discretization, tau: float):
@@ -376,7 +375,7 @@ def default_starts(params: Params, grid: Grid, singles: bool = False):
 
 
 def multi_start(params: Params, grid: Grid, options: GfdnOptions | None = None,
-                starts=None, threads: int = 1) -> GroundStateResult:
+                starts=None) -> GroundStateResult:
     """Run the flow from several initial states; keep the lowest energy.
 
     Converged runs win over non-converged ones; among equals the lower energy
@@ -387,52 +386,38 @@ def multi_start(params: Params, grid: Grid, options: GfdnOptions | None = None,
     chemical-potential refresh where it coincides with that state.  A run
     that coincides with a converged best is a duplicate, warns "merged into
     start k" and never replaces it, so each cluster keeps its earliest
-    start.  With threads > 1 the starts fan out across a thread pool and run
-    to completion (nothing merges mid-run); the same selection is applied
-    after all complete, so the result does not depend on the worker count.
+    start.  The test here also catches a start that converges before its
+    first refresh, where the flow's own merge test never ran.
     """
     options = options or GfdnOptions()
     if starts is None:
         starts = default_starts(params, grid)
     if not starts:
         raise ValueError("multi_start needs at least one initial state")
+    # resolved per call, so a wrapper set on the module sees every start
     solve = besp_solve if params.frame == TILDE else gfdn_solve
-
-    def run(init, best=None):
+    best, k = None, 0  # the best run so far and its index
+    for i, init in enumerate(starts):
         target = best.phi.psi if best is not None and best.converged else None
-        return solve(params, grid, replace(options, init=init),
-                     merge_into=target)
-
-    if threads > 1 and len(starts) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            runs = list(pool.map(run, starts))
-    else:
-        runs = [run(starts[0])]  # the rest run below, one at a time
-    k = 0  # index of the best run so far
-    for i in range(1, len(starts)):
-        if i == len(runs):
-            runs.append(run(starts[i], runs[k]))
-        res, best = runs[i], runs[k]
-        if (best.converged
-                and _gap(grid, res.phi.psi, best.phi.psi) < MERGE_DISTANCE):
+        res = solve(params, grid, replace(options, init=init),
+                    merge_into=target)
+        if (target is not None
+                and _gap(grid, res.phi.psi, target) < MERGE_DISTANCE):
             res.warnings.append(f"merged into start {k}")
-        elif (res.converged, -res.energy) > (best.converged, -best.energy):
-            k = i
-    best = runs[k]
+        elif best is None or ((res.converged, -res.energy)
+                              > (best.converged, -best.energy)):
+            best, k = res, i
     if len(starts) > 1:
         best.warnings = best.warnings + [f"selected from {len(starts)} starts"]
     return best
 
 
 def solve_ground_state(params: Params, grid: Grid,
-                       options: GfdnOptions | None = None,
-                       threads: int = 1) -> GroundStateResult:
+                       options: GfdnOptions | None = None) -> GroundStateResult:
     """CLI driver: `multi_start` over [init], or `default_starts` if "auto"."""
     options = options or GfdnOptions()
     starts = None if options.init == "auto" else [options.init]
-    return multi_start(params, grid, options, starts, threads=threads)
+    return multi_start(params, grid, options, starts)
 
 
 @dataclass
@@ -515,8 +500,7 @@ def check_study(kind: str, params: Params, values):
 
 
 def limit_study(kind: str, params: Params, grid: Grid, values,
-                options: GfdnOptions | None = None,
-                threads: int = 1) -> LimitStudyResult:
+                options: GfdnOptions | None = None) -> LimitStudyResult:
     """Parameter-sweep drivers for the asymptotic ground-state regimes.
 
     kind selects the swept parameter and the diagnostic:
@@ -545,7 +529,7 @@ def limit_study(kind: str, params: Params, grid: Grid, values,
     def best(p, singles=False, warm=None):
         starts = ([warm] if warm is not None else []) + default_starts(
             p, grid, singles)
-        return multi_start(p, grid, options, starts, threads=threads)
+        return multi_start(p, grid, options, starts)
 
     def sweep(param_name, singles=False):
         prev = None

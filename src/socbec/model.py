@@ -176,9 +176,9 @@ class Discretization:
     """Fields, spectral symbols and validity rules of one (grid, params) pair.
 
     Built once per pair by `discretization` and shared by every solve, step
-    and functional on it, including the threads of a multi-start: nothing
-    changes after construction and the arrays are read-only.  Per-solve
-    state (shifts, denominators) belongs to the solver.
+    and functional on it: nothing changes after construction and the arrays
+    are read-only.  Per-solve state (shifts, denominators) belongs to the
+    solver.
 
     Attributes (stacked ones have shape (2, *grid.shape)):
         v          stacked trap fields (V1, V2)

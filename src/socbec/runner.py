@@ -176,10 +176,9 @@ def preflight(config: ExperimentConfig) -> list:
 
 
 class _Run:
-    def __init__(self, config: ExperimentConfig, out_dir, threads: int = 1):
+    def __init__(self, config: ExperimentConfig, out_dir):
         self.config = config
         self.out = Path(out_dir if out_dir is not None else config.out_dir)
-        self.threads = threads
         self.artifacts: list[str] = []
         self.notes: list[str] = []
 
@@ -259,8 +258,7 @@ class _Run:
                 if cfg.params.frame == TILDE:
                     phi = gauge_transform(phi, cfg.params, "to_tilde")
             return phi
-        res = solve_ground_state(cfg.params, cfg.grid, cfg.gfdn,
-                                 threads=self.threads)
+        res = solve_ground_state(cfg.params, cfg.grid, cfg.gfdn)
         self.report_solve(res, prefix="ground_state_")
         phi = res.phi
         if spec.kind == "shifted_ground_state":
@@ -272,8 +270,7 @@ class _Run:
 
     def run_ground_state(self):
         cfg = self.config
-        res = solve_ground_state(cfg.params, cfg.grid, cfg.gfdn,
-                                 threads=self.threads)
+        res = solve_ground_state(cfg.params, cfg.grid, cfg.gfdn)
         obs = observables(res.phi, cfg.params)
         header = ["iter"] + _obs_columns(cfg.grid.dim)
         rows = [[res.iterations] + _obs_values(obs)]
@@ -312,7 +309,7 @@ class _Run:
     def run_limit_study(self):
         cfg = self.config
         study = limit_study(cfg.sweep.kind, cfg.params, cfg.grid,
-                            cfg.sweep.values, cfg.gfdn, threads=self.threads)
+                            cfg.sweep.values, cfg.gfdn)
         diag_names = [k for k in study.diagnostics if k != "converged"]
         header = [cfg.sweep.parameter] + diag_names + ["converged", "iterations",
                                                        "residual"]
@@ -387,8 +384,16 @@ def run(config: ExperimentConfig, out_dir=None, threads: int = 1) -> int:
     Every failure, from `preflight`'s rules to a solver error or an
     unreadable checkpoint, keeps the partial artifacts and writes the
     manifest and a FAILED marker with the diagnostics next to them.
+
+    `threads` only accepts 1, and any other value raises ValueError before
+    the output directory is made: every multi-start runs its starts in
+    order.  The keyword stays because the benchmark child
+    (`perfbench/child.py`) passes `threads=1`; it goes once that call
+    stops passing it.
     """
-    r = _Run(config, out_dir, threads)
+    if threads != 1:
+        raise ValueError(f"runs are single-threaded; got threads={threads!r}")
+    r = _Run(config, out_dir)
     r.out.mkdir(parents=True, exist_ok=True)
     failed = r.out / "FAILED"
     if failed.exists():

@@ -10,6 +10,8 @@ from socbec import (Axis, GfdnOptions, Params, Spinor, eigen_residual, energy,
                     load_checkpoint, make_grid, save_checkpoint,
                     solve_ground_state)
 from socbec.cli import main
+from socbec.config import load_config
+from socbec.runner import run
 
 GS_CONFIG = """
 [run]
@@ -296,31 +298,32 @@ def test_manifest_shows_the_lda_t_end_the_ode_runs_to(tmp_path):
     assert "lda LdaSpec(tau=0.001, t_end=0.02)" in manifest
 
 
-def test_env_threads_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("SOCBEC_THREADS", "2")
+def test_threads_flag_is_a_usage_error(tmp_path, capsys):
+    # every multi-start runs its starts in order; there is no worker count
     cfg = write(tmp_path, "gs.cfg", GS_CONFIG)
     out = tmp_path / "out"
-    assert main(["run", cfg, "--out", str(out)]) == 0
+    assert main(["run", cfg, "--out", str(out), "--threads", "2"]) == 1
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("argv, env, needle", [
-    pytest.param(["--threads", "-3"], None, "--threads", id="flag_negative"),
-    pytest.param(["--threads", "0"], None, "--threads", id="flag_zero"),
-    pytest.param([], "banana", "SOCBEC_THREADS", id="env_text"),
-    pytest.param([], "0", "SOCBEC_THREADS", id="env_zero"),
-    pytest.param([], "-2", "SOCBEC_THREADS", id="env_negative"),
-])
-def test_bad_thread_count_is_a_usage_error(tmp_path, monkeypatch, capsys,
-                                           argv, env, needle):
-    if env is None:
-        monkeypatch.delenv("SOCBEC_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("SOCBEC_THREADS", env)
-    cfg = write(tmp_path, "gs.cfg", GS_CONFIG)
+def test_run_rejects_a_thread_count_above_one(tmp_path):
+    config = load_config(write(tmp_path, "gs.cfg", GS_CONFIG))
     out = tmp_path / "out"
-    assert main(["run", cfg, "--out", str(out), *argv]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and needle in err
+    with pytest.raises(ValueError, match="threads"):
+        run(config, out_dir=out, threads=2)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_config_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(("# caf\u00e9\n" + GS_CONFIG).encode("latin-1"))
+    out = tmp_path / "out"
+    extra = ["--out", str(out)] if command == "run" else []
+    assert main([command, str(path), *extra]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
     assert not out.exists()
 
 
@@ -379,7 +382,7 @@ values = 1, 5, 10
 """
     cfg = write(tmp_path, "sweep.cfg", text)
     out = tmp_path / "out"
-    assert main(["run", cfg, "--out", str(out), "--threads", "2"]) == 0
+    assert main(["run", cfg, "--out", str(out)]) == 0
     lines = (out / "summary.csv").read_text().splitlines()
     assert lines[0].startswith("k0,raman_coupling_abs,dist_to_no_raman")
     overlaps = [float(r.split(",")[1]) for r in lines[1:]]

@@ -273,29 +273,6 @@ def test_multi_start_selects_minimum():
     assert best.energy <= min(r.energy for r in individual) + 1e-14
 
 
-def test_multi_start_threads_deterministic():
-    g = grid_1d(64)
-    p = Params(omega=3.0, beta11=4.0, beta12=6.0, beta22=4.0)
-    starts = ["gaussian_pair", "gaussian_opposite"]
-    a = multi_start(p, g, GfdnOptions(), starts=starts, threads=1)
-    b = multi_start(p, g, GfdnOptions(), starts=starts, threads=2)
-    assert a.energy == b.energy
-    assert np.array_equal(a.phi.psi1, b.phi.psi1)
-
-
-def test_multi_start_threads_deterministic_on_box():
-    # the 2D box transforms are BLAS matrix products run inside the pool
-    g = make_grid([Axis(-1.0, 1.0, 64, "sine"), Axis(-1.0, 1.0, 64, "sine")])
-    p = Params(k0=10.0, omega=50.0, beta11=10.0, beta12=9.0, beta22=9.0,
-               potential="box", frame="tilde")
-    starts = ["sine_pair", "sine_opposite"]
-    opts = GfdnOptions(max_iters=200)
-    a = multi_start(p, g, opts, starts=starts, threads=1)
-    b = multi_start(p, g, opts, starts=starts, threads=2)
-    assert a.energy == b.energy
-    assert np.array_equal(a.phi.psi, b.phi.psi)
-
-
 SWEEP_1D = Params(omega=-2.0, beta11=1.0, beta12=0.5, beta22=1.0)
 
 
@@ -336,10 +313,20 @@ def test_multi_start_merges_into_the_earliest_start(monkeypatch):
     # run to its own tolerance the opposite start takes 4,935 iterations
     assert not opposite.converged and opposite.iterations <= 4_000
     assert any("merged into start 0" in w for w in opposite.warnings)
-    # with threads nothing merges; the duplicate still keeps the pair start
-    threaded = multi_start(p, g, GfdnOptions(), starts=starts, threads=2)
-    assert np.array_equal(threaded.phi.psi, best.phi.psi)
-    assert threaded.energy == best.energy
+
+
+def test_multi_start_merges_a_start_that_converges_before_a_refresh(monkeypatch):
+    # a start at the converged state certifies at iteration 1, before the
+    # flow's own merge test runs; the selection's duplicate test catches it
+    g, p = grid_1d(), SWEEP_1D.with_(k0=0.05)
+    res = gfdn_solve(p, g, GfdnOptions())
+    assert res.converged and res.iterations == 680
+    solved = counted_solves(monkeypatch)
+    best = multi_start(p, g, GfdnOptions(), starts=[res.phi, res.phi])
+    first, second = solved
+    assert second.converged and second.iterations == 1
+    assert "merged into start 0" in second.warnings
+    assert best is first
 
 
 def test_multi_start_needs_starts():

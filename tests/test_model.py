@@ -589,3 +589,18 @@ def test_library_api_rejects_non_finite_values(cls, kwargs, name):
     # the config parser rejects these too; the dataclasses must not rely on it
     with pytest.raises(ValueError, match=f"^{name} must be"):
         cls(**kwargs)
+
+
+@pytest.mark.parametrize("cls, kwargs, name", [
+    (Axis, {"lo": -1.0, "hi": 1.0, "n": 64.5, "basis": "sine"}, "n"),
+    (Axis, {"lo": -1.0, "hi": 1.0, "n": 64.0}, "n"),
+    (GfdnOptions, {"max_iters": 1e3}, "max_iters"),
+    (EvolveOptions, {"tau": 0.1, "t_end": 1.0, "record_every": 2.5},
+     "record_every"),
+    (EvolveOptions, {"tau": 0.1, "t_end": 1.0, "snapshot_every": 1.5},
+     "snapshot_every"),
+])
+def test_library_api_rejects_non_integer_counts(cls, kwargs, name):
+    # a float count would build a fractional shape or a float step stride
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        cls(**kwargs)
