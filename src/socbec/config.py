@@ -9,7 +9,8 @@ keys, bad values and non-finite numbers are errors carrying the line number;
 so are missing required keys and the cross-key rules in `parse_config`.
 A section that the run mode never reads (`MODE_SECTIONS`) is an error too,
 so `[evolve]` under `ground_state` or `[sweep]` outside `limit_study` is not
-silently ignored.
+silently ignored; nor is `[gfdn] init` under `limit_study`, or `[gfdn]`
+where the `[initial]` kind solves no ground state (`GROUND_STATE_KINDS`).
 
 `[initial]` takes `kind` and only the keys that kind reads (`INITIAL_KEYS`):
 gaussian `center`, `width`, `component`; shifted_ground_state `offset`;
@@ -53,6 +54,7 @@ INITIAL_KEYS = {
     "shifted_ground_state": ("offset",),
     "checkpoint": ("path",),
 }
+GROUND_STATE_KINDS = ("ground_state", "shifted_ground_state")  # read [gfdn]
 
 
 class ConfigError(ValueError):
@@ -251,6 +253,14 @@ def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
     for section, ln in headers.items():
         if section not in MODE_SECTIONS[mode]:
             raise ConfigError(f"{mode} mode does not read section [{section}]", ln)
+    if mode == "limit_study" and "init" in found["gfdn"]:
+        raise ConfigError("limit_study mode does not read [gfdn] key 'init'; "
+                          "each study picks its own starts", lines["gfdn", "init"])
+    kind = found["initial"].get("kind", InitialSpec.kind)
+    if ("initial" in MODE_SECTIONS[mode] and "gfdn" in headers
+            and kind not in GROUND_STATE_KINDS):
+        raise ConfigError(f"initial kind {kind!r} does not read section [gfdn]",
+                          headers["gfdn"])
 
     axes = found["grid"]
     order = list(_SCHEMA["grid"])
@@ -278,7 +288,6 @@ def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
         raise ConfigError("missing required key 't_end' in section [evolve]")
 
     ikw = found["initial"]
-    kind = ikw.get("kind", InitialSpec.kind)
     for key in ikw:
         if key != "kind" and key not in INITIAL_KEYS[kind]:
             raise ConfigError(f"initial kind {kind!r} does not read {key!r}",

@@ -10,11 +10,10 @@ from the running iterate.
 
 A solve converges when the discrete L2 eigen residual ||H(psi)psi - mu psi||
 (mu = E + quartic) is below `tol` (the residual stop of Antoine, Levitt &
-Tang 2017).  The step test max|psi_new - psi|/tau < tol is a cheap
-pre-check: only when it passes is the residual computed (one transform
-pair), and after a failed check the next one waits for the next
-chemical-potential refresh.  `GroundStateResult.residual` is the eigen
-residual of the returned state, converged or not.
+Tang 2017), the flow's only stop test.  It runs at each chemical-potential
+refresh (every MU_UPDATE_EVERY iterations), and once more if a solve ends
+between refreshes.  `GroundStateResult.residual` is the eigen residual of
+the returned state, converged or not; `converged` is `residual < tol`.
 
 Two entry points share the machinery: `gfdn_solve` runs the lab-frame flow
 on Fourier grids (harmonic or free potentials), and `besp_solve` runs the
@@ -28,12 +27,8 @@ Every solve takes one path: `solve_ground_state` -> `multi_start` ->
 Only `solve_ground_state` reads init = "auto" (multi-start over
 `default_starts`); the solvers reject it.
 
-`multi_start` merges duplicate starts.  Two unit-norm states coincide when
-their phase-aligned distance sqrt(2 - 2 h |<a, b>|) (h the cell volume) is
-below MERGE_DISTANCE.  Run in list order, each start is given the converged
-best so far and stops, unconverged, once it coincides with it; a converged
-duplicate never replaces the best, so the earliest start of a cluster is
-kept.
+`multi_start` runs its starts in order and stops each once it coincides
+with the converged best so far (see its docstring).
 """
 
 from __future__ import annotations
@@ -49,6 +44,7 @@ from .model import (
     Discretization,
     Params,
     Spinor,
+    abs2,
     discretization,
     gauge_transform,
     raman_overlap,
@@ -125,10 +121,10 @@ class _Flow:
     chemical-potential shift mu_hat = E + quartic is refreshed every
     MU_UPDATE_EVERY; a positivity guard keeps every backward-Euler
     denominator >= 1.  Constant shifts cancel at the fixed point, so none of
-    this changes the converged state.  Each refresh also records the largest energy rise between
-    refreshes in `energy_rise`.  `step` computes |psi|^2, tau*beta@|psi|^2
-    and the Raman term, and `change` the step's size, in work buffers built
-    once per flow (each solve builds its own).
+    this changes the converged state.  Each refresh records the largest
+    energy rise between refreshes in `energy_rise` and returns the eigen
+    residual (None between refreshes).  `step` computes |psi|^2,
+    tau*beta@|psi|^2 and the Raman term in work buffers built per flow.
     """
 
     def __init__(self, disc: Discretization, tau: float):
@@ -154,7 +150,7 @@ class _Flow:
             floor += 0.5 * p.k0**2
         return floor
 
-    def refresh(self, psi: np.ndarray, it: int = 0):
+    def refresh(self, psi: np.ndarray, it: int = 0) -> float | None:
         """Step and shift refresh after iteration `it` (0: set-up on the start).
 
         Step: the linearized explicit term of a node (along psi the
@@ -176,9 +172,10 @@ class _Flow:
         (U <= U_lin), so a raised step always runs at the floor.
         """
         if it % MU_UPDATE_EVERY:
-            return
+            return None
         d = self.disc
-        e, quartic = d.energy_parts(psi)
+        modes = d.grid.forward(d.ungauged(psi))
+        e, quartic = d.energy_parts(psi, abs2(modes))
         self.energy_rise = max(self.energy_rise, e - self.energy)
         self.energy = e
         mu_hat = e + quartic
@@ -195,6 +192,7 @@ class _Flow:
             bound = 0.5 * (u + half_omega + floor) - 1.0 / tau
             self.alpha = min(0.5 * u, bound)
         self.set_shifts(max(self.alpha, floor), mu_hat)
+        return d.eigen_residual(psi, mu_hat, modes)
 
     def set_tau(self, tau: float):
         self.tau = tau
@@ -205,11 +203,6 @@ class _Flow:
         tau = self.tau
         self.inv_den = 1.0 / (1.0 + tau * (self.disc.symbol + (alpha - mu_hat)))
         self.lin = 1.0 + tau * (alpha - self.disc.v)
-
-    def change(self, new: np.ndarray, psi: np.ndarray) -> float:
-        """max|new - psi| / tau, the stopping test, in the step's buffers."""
-        np.subtract(new, psi, out=self._raman)
-        return float(np.abs(self._raman, out=self._rho).max()) / self.tau
 
     def step(self, psi: np.ndarray) -> np.ndarray:
         """One backward-Euler step plus joint renormalization (new array)."""
@@ -265,36 +258,30 @@ def _solve(params: Params, grid: Grid, options: GfdnOptions,
     disc = discretization(grid, params)
     flow = _Flow(disc, options.tau)
     psi = build_initial_state(options.init, grid, params).psi
-    flow.refresh(psi)
-    converged = merged = False
-    iterations = check_from = 0
+    residual = flow.refresh(psi)
+    gap = np.inf  # to merge_into, at the last refresh that tested it
+    iterations = 0
     warnings = list(disc.warnings)
     try:
         for it in range(1, options.max_iters + 1):
-            new = flow.step(psi)
-            diff = flow.change(new, psi)
-            psi = new
+            psi = flow.step(psi)
             iterations = it
-            flow.refresh(psi, it)
-            if diff < options.tol and it >= check_from:
-                # the step test passed: certify on the eigen residual
-                residual = disc.eigen_residual(psi)
-                if residual < options.tol:
-                    converged = True
-                    break
-                check_from = (it // MU_UPDATE_EVERY + 1) * MU_UPDATE_EVERY
-            if merge_into is not None and it % MU_UPDATE_EVERY == 0:
+            residual = flow.refresh(psi, it)
+            if residual is None:
+                continue
+            if residual < options.tol:
+                break
+            if merge_into is not None:
                 gap = _gap(grid, merge_into, psi)
                 if gap < MERGE_DISTANCE:
-                    merged = True
                     break
-    except FloatingPointError as exc:
+    except FloatingPointError as exc:  # psi predates the failed step
         warnings.append(str(exc))
-    phi = Spinor.from_stacked(grid, psi)
-    if not converged:
+    if residual is None:  # the solve ended between refreshes
         residual = disc.eigen_residual(psi)
+    converged = residual < options.tol
 
-    if merged:
+    if gap < MERGE_DISTANCE:
         warnings.append(
             f"stopped after {iterations} iterations at phase-aligned "
             f"distance {gap:.2e} < {MERGE_DISTANCE:g} from the given state"
@@ -320,7 +307,7 @@ def _solve(params: Params, grid: Grid, options: GfdnOptions,
 
     e, quartic = disc.energy_parts(psi)
     return GroundStateResult(
-        phi=phi, energy=e, mu=e + quartic, iterations=iterations,
+        phi=Spinor.from_stacked(grid, psi), energy=e, mu=e + quartic, iterations=iterations,
         residual=residual, converged=converged, warnings=warnings,
     )
 
@@ -386,8 +373,9 @@ def multi_start(params: Params, grid: Grid, options: GfdnOptions | None = None,
     chemical-potential refresh where it coincides with that state.  A run
     that coincides with a converged best is a duplicate, warns "merged into
     start k" and never replaces it, so each cluster keeps its earliest
-    start.  The test here also catches a start that converges before its
-    first refresh, where the flow's own merge test never ran.
+    start.  The test here also catches a start that stops without the
+    flow's own merge test: one certified at a refresh (the residual test
+    runs first) or one that ends between refreshes.
     """
     options = options or GfdnOptions()
     if starts is None:

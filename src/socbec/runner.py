@@ -39,7 +39,7 @@ from .com import (
     lda_initial_from_imbalance,
     xc_closed_form,
 )
-from .config import ExperimentConfig
+from .config import GROUND_STATE_KINDS, ExperimentConfig
 from .dynamics import EvolveOptions, evolve, step_count
 from .grid import FOURIER
 from .ground_state import (
@@ -166,7 +166,7 @@ def preflight(config: ExperimentConfig) -> list:
             except ValueError as exc:
                 raise RunFailure(f"[lda] {exc}") from None
         use(cfg.params, flow=False)
-        if cfg.initial.kind in ("ground_state", "shifted_ground_state"):
+        if cfg.initial.kind in GROUND_STATE_KINDS:
             use(cfg.params, flow=True)
         if cfg.initial.kind == "shifted_ground_state":
             _shift_steps(cfg.grid, cfg.initial.offset or (0.0,) * cfg.grid.dim)

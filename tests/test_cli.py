@@ -402,11 +402,18 @@ T_END_NOT_MULTIPLE = DYN_CONFIG.replace("t_end = 0.05", "t_end = 0.0505")
 LDA_T_END_NOT_MULTIPLE = DYN_CONFIG.replace(
     "mode = dynamics", "mode = com_compare") + "[lda]\ntau = 0.03\nt_end = 0.1\n"
 
-RATE_SWEEP_ZERO_K0 = GS_CONFIG.replace("mode = ground_state", "mode = limit_study") \
+# a limit study picks its own starts, so these drop the [gfdn] init
+STUDY_FROM_GS = GS_CONFIG.replace("mode = ground_state", "mode = limit_study")
+
+RATE_SWEEP_ZERO_K0 = STUDY_FROM_GS.replace("init = gaussian_pair\n", "") \
     + "[sweep]\nkind = rate_small_k0\nvalues = 0, 0.1, 0.2\n"
 
-RATE_SWEEP_REPEATED = GS_CONFIG.replace("mode = ground_state", "mode = limit_study") \
+RATE_SWEEP_REPEATED = STUDY_FROM_GS.replace("init = gaussian_pair\n", "") \
     + "[sweep]\nkind = rate_small_k0\nvalues = 0.1, 0.1, 0.1\n"
+
+STUDY_INIT = STUDY_FROM_GS + "[sweep]\nkind = rate_small_k0\nvalues = 0.1, 0.2, 0.3\n"
+
+GAUSSIAN_START_GFDN = DYN_CONFIG + "[gfdn]\ntau = 0.02\n"
 
 NEGATIVE_SNAPSHOT_EVERY = DYN_CONFIG.replace("snapshot_every = 25",
                                              "snapshot_every = -3")
@@ -428,9 +435,13 @@ UNREAD_SECTIONS = GS_CONFIG + (
     (RATE_SWEEP_REPEATED, "repeated sweep values", 2),
     (NEGATIVE_SNAPSHOT_EVERY, "snapshot_every", 2),
     (UNREAD_SECTIONS, "ground_state mode does not read section [evolve]", 1),
+    (STUDY_INIT, "line 12: limit_study mode does not read [gfdn] key 'init'", 1),
+    (GAUSSIAN_START_GFDN,
+     "line 20: initial kind 'gaussian' does not read section [gfdn]", 1),
 ], ids=["harmonic_on_sine", "box_on_fourier", "t_end_not_multiple",
         "lda_t_end_not_multiple", "rate_sweep_zero_k0", "rate_sweep_repeated",
-        "negative_snapshot_every", "unread_sections"])
+        "negative_snapshot_every", "unread_sections", "study_init",
+        "gaussian_start_gfdn"])
 def test_validate_and_run_reject_alike(tmp_path, capsys, text, needle,
                                        run_status):
     cfg = write(tmp_path, "bad.cfg", text)
@@ -518,7 +529,9 @@ def test_dynamics_from_lab_checkpoint_starts_at_ground_state(tmp_path):
     # the lab companion is gauge-transformed back into the tilde frame
     cfg = write(tmp_path, "gs.cfg", BOX_GS_CONFIG)
     assert main(["run", cfg, "--out", str(tmp_path / "gs")]) == 0
-    dyn = BOX_GS_CONFIG.replace("mode = ground_state", "mode = dynamics") + """
+    # a checkpoint start solves no ground state, so the run has no [gfdn]
+    dyn = BOX_GS_CONFIG.replace("mode = ground_state", "mode = dynamics") \
+        .replace("[gfdn]\ninit = sine_opposite\n", "") + """
 [evolve]
 tau = 1e-4
 t_end = 1e-3

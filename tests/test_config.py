@@ -118,6 +118,39 @@ def test_section_the_mode_never_reads_rejected(mode, section):
     assert err.value.line == text.splitlines().index(f"[{section}]") + 1
 
 
+def test_gfdn_init_under_limit_study_rejected():
+    text = MINIMAL.replace("ground_state", "limit_study") + (
+        "[gfdn]\ntol = 1e-8\ninit = gaussian_pair\n"
+        "[sweep]\nkind = large_delta\nvalues = 10\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert "limit_study mode does not read [gfdn] key 'init'" in str(err.value)
+    assert err.value.line == text.splitlines().index("init = gaussian_pair") + 1
+    cfg = parse_config(text.replace("init = gaussian_pair\n", ""))
+    assert cfg.gfdn.tol == 1e-8
+
+
+@pytest.mark.parametrize("mode", ["dynamics", "com_compare"])
+@pytest.mark.parametrize("kind", [None, "gaussian", "checkpoint",
+                                  "ground_state", "shifted_ground_state"])
+def test_gfdn_section_read_only_by_ground_state_starts(tmp_path, mode, kind):
+    (tmp_path / "seed.socb").write_bytes(b"")
+    text = MINIMAL.replace("ground_state", mode) + "[evolve]\nt_end = 0.1\n"
+    if kind is not None:  # unset kind is gaussian
+        text += f"[initial]\nkind = {kind}\n"
+        if kind == "checkpoint":
+            text += "path = seed.socb\n"
+    text += "[gfdn]\ntau = 0.02\n"
+    if kind in ("ground_state", "shifted_ground_state"):
+        assert parse_config(text, base_dir=tmp_path).gfdn.tau == 0.02
+        return
+    with pytest.raises(ConfigError) as err:
+        parse_config(text, base_dir=tmp_path)
+    assert f"initial kind {kind or 'gaussian'!r} does not read section [gfdn]" \
+        in str(err.value)
+    assert err.value.line == text.splitlines().index("[gfdn]") + 1
+
+
 def test_every_section_is_read_by_some_mode():
     read = {s for sections in MODE_SECTIONS.values() for s in sections}
     assert read == set(_SCHEMA)

@@ -22,7 +22,7 @@ from socbec import (
     solve_ground_state,
 )
 from socbec import ground_state
-from socbec.grid import DENSE_SINE_MAX_N, _dst1_pair
+from socbec.grid import DENSE_SINE_MAX_N, Grid, _dst1_pair
 from socbec.ground_state import default_starts
 from socbec.model import abs2, discretization
 from socbec.states import build_initial_state, gaussian_profile, single_component
@@ -315,18 +315,81 @@ def test_multi_start_merges_into_the_earliest_start(monkeypatch):
     assert any("merged into start 0" in w for w in opposite.warnings)
 
 
-def test_multi_start_merges_a_start_that_converges_before_a_refresh(monkeypatch):
-    # a start at the converged state certifies at iteration 1, before the
-    # flow's own merge test runs; the selection's duplicate test catches it
+def test_multi_start_merges_a_start_that_certifies_at_its_first_refresh(
+        monkeypatch):
+    # a start at the converged state certifies at its first refresh, where
+    # the residual test runs before the flow's own merge test; the
+    # selection's duplicate test catches it
     g, p = grid_1d(), SWEEP_1D.with_(k0=0.05)
     res = gfdn_solve(p, g, GfdnOptions())
     assert res.converged and res.iterations == 680
     solved = counted_solves(monkeypatch)
     best = multi_start(p, g, GfdnOptions(), starts=[res.phi, res.phi])
     first, second = solved
-    assert second.converged and second.iterations == 1
+    assert second.converged
+    assert second.iterations == ground_state.MU_UPDATE_EVERY == 10
     assert "merged into start 0" in second.warnings
     assert best is first
+
+
+def test_every_result_reports_the_residual_of_its_state(monkeypatch):
+    # converged is residual < tol, and residual is the eigen residual of the
+    # returned state, whether the solve certified, merged or ran out of
+    # iterations between refreshes
+    results = []
+
+    def checked(solve):
+        def call(params, grid, options, merge_into=None):
+            res = solve(params, grid, options, merge_into)
+            assert res.converged == (res.residual < options.tol)
+            assert res.residual == eigen_residual(res.phi, params)
+            results.append(res)
+            return res
+        return call
+
+    for name in ("gfdn_solve", "besp_solve"):
+        monkeypatch.setattr(ground_state, name,
+                            checked(getattr(ground_state, name)))
+    g, p = grid_1d(), SWEEP_1D.with_(k0=0.05)
+    best = multi_start(p, g, GfdnOptions(),
+                       starts=["gaussian_pair", "gaussian_opposite"])
+    pair, opposite = results
+    assert best is pair and pair.converged
+    assert not opposite.converged
+    assert "merged into start 0" in opposite.warnings
+    short = ground_state.gfdn_solve(p, g, GfdnOptions(init=best.phi,
+                                                      max_iters=5))
+    assert short.converged and short.iterations == 5
+    results.clear()
+    box = Params(k0=3.0, omega=20.0, beta11=10.0, beta12=9.0, beta22=9.0,
+                 potential="box", frame="tilde")
+    study = limit_study("large_delta", box, box_1d(32), [10.0, 40.0])
+    # 2 default starts, then the warm start and 2 more
+    assert len(results) == 5
+    assert all(any(r is s for s in results) for r in study.results)
+
+
+def test_a_converged_solve_transforms_only_in_steps_and_refreshes(monkeypatch):
+    # N iterations take N forward/inverse pairs, every refresh (set-up
+    # included) one pair for the energy and the eigen residual, and the
+    # final energy one forward
+    calls = {"forward": 0, "inverse": 0}
+
+    def counted(name):
+        transform = getattr(Grid, name)
+
+        def call(self, *args, **kwargs):
+            calls[name] += 1
+            return transform(self, *args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(Grid, name, counted(name))
+    res = gfdn_solve(SWEEP_1D.with_(k0=0.05), grid_1d(), GfdnOptions())
+    n = res.iterations
+    assert res.converged and n == 680
+    refreshes = n // ground_state.MU_UPDATE_EVERY + 1
+    assert calls == {"forward": n + refreshes + 1, "inverse": n + refreshes}
 
 
 def test_multi_start_needs_starts():
