@@ -5,15 +5,15 @@ semi-implicit step followed by joint renormalization of the pair.  The
 implicit block holds the constant-coefficient part (Laplacian, spin-orbit
 derivative, +-delta/2, a stabilization shift, and an adaptive
 chemical-potential shift); trap, nonlinearity and Raman coupling are
-evaluated at the previous iterate.  The chemical-potential shift is updated
-from the running iterate.
+evaluated at the previous iterate.  Every MU_UPDATE_EVERY iterations one
+refresh derives the step and both shifts from the running iterate.
 
 A solve converges when the discrete L2 eigen residual ||H(psi)psi - mu psi||
 (mu = E + quartic) is below `tol` (the residual stop of Antoine, Levitt &
-Tang 2017), the flow's only stop test.  It runs at each chemical-potential
-refresh (every MU_UPDATE_EVERY iterations), and once more if a solve ends
-between refreshes.  `GroundStateResult.residual` is the eigen residual of
-the returned state, converged or not; `converged` is `residual < tol`.
+Tang 2017), the flow's only stop test.  It runs at each refresh, and once
+more if a solve ends between refreshes.  `GroundStateResult.residual` is
+the eigen residual of the returned state, converged or not; `converged` is
+`residual < tol`.
 
 Two entry points share the machinery: `gfdn_solve` runs the lab-frame flow
 on Fourier grids (harmonic or free potentials), and `besp_solve` runs the
@@ -52,8 +52,7 @@ from .model import (
 )
 from .states import base_profile, build_initial_state, single_component
 
-MU_UPDATE_EVERY = 10  # iterations between chemical-potential shift refreshes
-SHIFT_UPDATE_EVERY = 50  # iterations between automatic stabilization refreshes
+MU_UPDATE_EVERY = 10  # iterations between refreshes of the step and shifts
 MERGE_DISTANCE = 1e-2  # phase-aligned distance at which two starts coincide
 
 
@@ -115,11 +114,11 @@ class _Flow:
 
     The flow works on stacked (2, *shape) arrays.  `Grid.forward` and
     `Grid.inverse` are an exact inverse pair, so the denominators need no
-    transform scale factor.  `refresh` is the one step and shift policy: the
-    step tau (at least the options' tau) and the stabilization shift alpha
-    are refreshed every SHIFT_UPDATE_EVERY iterations; the
-    chemical-potential shift mu_hat = E + quartic is refreshed every
-    MU_UPDATE_EVERY; a positivity guard keeps every backward-Euler
+    transform scale factor.  `refresh` is the one step and shift policy:
+    every MU_UPDATE_EVERY iterations it derives the step tau (at least the
+    options' tau), the stabilization shift alpha and the chemical-potential
+    shift mu_hat = E + quartic from the iterate; `guard_floor`, read off the
+    lowest mode of `Discretization.symbol`, keeps every backward-Euler
     denominator >= 1.  Constant shifts cancel at the fixed point, so none of
     this changes the converged state.  Each refresh records the largest
     energy rise between refreshes in `energy_rise` and returns the eigen
@@ -132,9 +131,7 @@ class _Flow:
         self.disc = disc
         self.tau_min = tau
         self.set_tau(tau)
-        self.inv_den = None
-        self.lin = None
-        self.alpha = None
+        self.symbol_min = float(disc.symbol.min())
         self.energy = np.inf  # no refresh yet
         self.energy_rise = 0.0
         shape = (2,) + disc.grid.shape
@@ -143,15 +140,14 @@ class _Flow:
         self._raman = np.empty(shape, dtype=np.complex128)
 
     def guard_floor(self, mu_hat: float) -> float:
-        # keeps every backward-Euler denominator >= 1
-        p = self.disc.params
-        floor = mu_hat + 0.5 * abs(p.delta)
-        if p.frame == LAB:
-            floor += 0.5 * p.k0**2
-        return floor
+        """Least shift alpha with every denominator
+        1 + tau*(alpha - mu_hat + symbol) >= 1; the lowest mode's is 1."""
+        return mu_hat - self.symbol_min
 
     def refresh(self, psi: np.ndarray, it: int = 0) -> float | None:
         """Step and shift refresh after iteration `it` (0: set-up on the start).
+
+        Runs at multiples of MU_UPDATE_EVERY; floor is `guard_floor(mu_hat)`.
 
         Step: the linearized explicit term of a node (along psi the
         derivative of beta*rho*psi is 3*beta*rho) is at most
@@ -180,17 +176,15 @@ class _Flow:
         self.energy = e
         mu_hat = e + quartic
         floor = self.guard_floor(mu_hat)
-        if it % SHIFT_UPDATE_EVERY == 0:
-            pot = d.potential(psi)
-            half_omega = 0.5 * abs(d.params.omega)
-            u = float(pot.max())
-            u_lin = float((3.0 * pot - 2.0 * d.v).max()) + half_omega
-            tau = self.tau_min
-            if u_lin > floor:
-                tau = max(tau, 1.0 / (u_lin - floor))
-            self.set_tau(tau)
-            bound = 0.5 * (u + half_omega + floor) - 1.0 / tau
-            self.alpha = min(0.5 * u, bound)
+        pot = d.potential(psi)
+        half_omega = 0.5 * abs(d.params.omega)
+        u = float(pot.max())
+        u_lin = float((3.0 * pot - 2.0 * d.v).max()) + half_omega
+        tau = self.tau_min
+        if u_lin > floor:
+            tau = max(tau, 1.0 / (u_lin - floor))
+        self.set_tau(tau)
+        self.alpha = min(0.5 * u, 0.5 * (u + half_omega + floor) - 1.0 / tau)
         self.set_shifts(max(self.alpha, floor), mu_hat)
         return d.eigen_residual(psi, mu_hat, modes)
 

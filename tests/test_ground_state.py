@@ -506,39 +506,64 @@ BOX_GS_PARAMS = Params(k0=10.0, omega=50.0, beta11=10.0, beta12=9.0,
                        beta22=9.0, potential="box", frame="tilde")
 
 
-@pytest.mark.parametrize("g, p, tau", [
-    (COM_2D_GRID, COM_2D_PARAMS, 0.01),
-    (grid_1d(128), SWEEP_1D_PARAMS, 0.01),
-    (grid_1d(128), SWEEP_1D_PARAMS, 1.0),
-    (grid_1d(128), Params(k0=3.0, omega=-2.0, beta11=100.0, beta12=50.0,
-                          beta22=100.0), 0.5),
-    (box_1d(64), Params(k0=2.0, omega=5.0, beta11=10.0, beta12=9.0,
-                        beta22=9.0, potential="box", frame="tilde"), 0.01),
-], ids=["com_2d", "sweep_1d", "sweep_1d_large_tau", "tau_too_large", "box_1d"])
-def test_refresh_sets_the_tau_aware_shift(g, p, tau):
-    d = discretization(g, p)
-    flow = ground_state._Flow(d, tau)
-    psi = build_initial_state("gaussian_pair", g, p).psi
-    flow.refresh(psi)
+BOX_1D_PARAMS = Params(k0=2.0, omega=5.0, beta11=10.0, beta12=9.0,
+                       beta22=9.0, potential="box", frame="tilde")
+
+
+def check_refresh(flow, psi, tau):
+    """The step, shift and guard of `refresh` on `psi`, as documented."""
+    d = flow.disc
     e, quartic = d.energy_parts(psi)
-    floor = flow.guard_floor(e + quartic)
+    mu = e + quartic
+    floor = flow.guard_floor(mu)
+    # the guard is read off the discrete symbol, not off a frame rule
+    assert floor == mu - d.symbol.min()
     pot = d.potential(psi)
     u = float(pot.max())
     # the bound of the linearized explicit term, V + 3*beta*rho + |omega|/2
-    u_lin = float((3.0 * pot - 2.0 * d.v).max()) + 0.5 * abs(p.omega)
+    u_lin = float((3.0 * pot - 2.0 * d.v).max()) + 0.5 * abs(d.params.omega)
     assert u_lin > floor
     step = max(tau, 1.0 / (u_lin - floor))
     assert flow.tau == step
-    assert flow.alpha == min(0.5 * u,
-                             0.5 * (u + 0.5 * abs(p.omega) + floor) - 1.0 / step)
+    assert flow.alpha == min(0.5 * u, 0.5 * (u + 0.5 * abs(d.params.omega)
+                                             + floor) - 1.0 / step)
     assert flow.alpha <= 0.5 * u  # never above the tau-independent shift
+    if flow.alpha < floor:
+        # at the guard every denominator is >= 1, the lowest mode's exactly 1
+        assert abs(flow.inv_den.max() - 1.0) <= 1e-12
     if step > tau:
         # a raised step runs at the guard floor
         assert flow.alpha < floor
         assert np.array_equal(flow.lin, 1.0 + step * (floor - d.v))
     else:
         # the trap keeps every trapped benchmark problem at its own tau
-        assert g.is_fourier
+        assert d.grid.is_fourier
+
+
+@pytest.mark.parametrize("g, p, tau", [
+    (COM_2D_GRID, COM_2D_PARAMS, 0.01),
+    (grid_1d(128), SWEEP_1D_PARAMS, 0.01),
+    (grid_1d(128), SWEEP_1D_PARAMS, 1.0),
+    (grid_1d(128), Params(k0=3.0, omega=-2.0, beta11=100.0, beta12=50.0,
+                          beta22=100.0), 0.5),
+    (box_1d(64), BOX_1D_PARAMS, 0.01),
+    # the detuning shifts the lowest mode of the symbol by -|delta|/2
+    (grid_1d(128), SWEEP_1D_PARAMS.with_(delta=0.3), 0.01),
+    (box_1d(64), BOX_1D_PARAMS.with_(delta=0.4), 0.01),
+], ids=["com_2d", "sweep_1d", "sweep_1d_large_tau", "tau_too_large", "box_1d",
+        "sweep_1d_delta", "box_1d_delta"])
+def test_refresh_sets_the_tau_aware_shift(g, p, tau):
+    flow = ground_state._Flow(discretization(g, p), tau)
+    psi = build_initial_state("gaussian_pair", g, p).psi
+    flow.refresh(psi)
+    check_refresh(flow, psi, tau)
+    start = flow.tau, flow.alpha
+    # one cadence: the next refresh derives the step and shift again
+    for _ in range(ground_state.MU_UPDATE_EVERY):
+        psi = flow.step(psi)
+    flow.refresh(psi, ground_state.MU_UPDATE_EVERY)
+    check_refresh(flow, psi, tau)
+    assert (flow.tau, flow.alpha) != start
 
 
 def test_box_shift_stays_at_the_guard_floor():
