@@ -240,8 +240,10 @@ def gfdn_step(phi: Spinor, params: Params, options: GfdnOptions) -> Spinor:
 def _gap(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
     """Phase-aligned L2 distance of two unit-norm stacked spinors.
 
-    One inner product, for the merge test; it loses relative precision as
-    the distance shrinks, where `_aligned_distance` does not.
+    One inner product; it serves the merge test and the small-k0 rate
+    diagnostic.  sqrt(2 - 2|<a, b>|) loses relative precision as the distance
+    shrinks: at the rate study's distances (3e-3 to 2e-2) it matches
+    sqrt(h)*||a - e^{i theta} b|| to 4e-12 relative.
     """
     overlap = grid.cell_volume * abs(np.vdot(a, b))
     return float(np.sqrt(max(2.0 - 2.0 * overlap, 0.0)))
@@ -425,17 +427,6 @@ def _density_distance(grid: Grid, a: Spinor, b: Spinor) -> float:
             + _l2(grid, np.abs(a.psi2) - np.abs(b.psi2)))
 
 
-def _aligned_distance(grid: Grid, a: Spinor, b: Spinor) -> float:
-    """L2 distance of the full spinors with the global phase optimized out."""
-    overlap = grid.quadrature(np.conj(b.psi1) * a.psi1
-                              + np.conj(b.psi2) * a.psi2)
-    phase = 1.0 if overlap == 0 else overlap / abs(overlap)
-    return np.sqrt(
-        grid.quadrature(np.abs(a.psi1 - phase * b.psi1) ** 2
-                        + np.abs(a.psi2 - phase * b.psi2) ** 2)
-    )
-
-
 def _symmetrized_reference(params: Params, grid: Grid,
                            options: GfdnOptions) -> np.ndarray:
     """Minimizer profile of the strong-Raman limiting functional.
@@ -496,7 +487,9 @@ def limit_study(kind: str, params: Params, grid: Grid, values,
                          to the k0 = 0 reference against k0.
       - "rate_large_k0": sweep large k0; slope against 1/sqrt(k0).
       - "energy_competition": sweep omega at fixed k0; fits
-                         E_g + k0^2/2 ~ -C0 * omega^2/k0^2.
+                         E_g + k0^2/2 ~ -C0 * omega^2/k0^2, with E_g the
+                         lab energy of `lab_view` (in the tilde frame, the
+                         excess is the tilde energy).
     Each sweep point warm-starts from the previous point's result, whether
     or not that point converged.
     """
@@ -557,7 +550,7 @@ def limit_study(kind: str, params: Params, grid: Grid, values,
         # optimized out); the leading O(k0) response is a pure phase, so this
         # scales one order slower than the modulus distance
         diagnostics["state_dist_to_k0_zero"] = [
-            _aligned_distance(grid, r.phi, ref.phi) for r in results
+            _gap(grid, r.phi.psi, ref.phi.psi) for r in results
         ]
         slope, intercept = np.polyfit(np.log(values), np.log(errs), 1)
         slope, intercept = float(slope), float(intercept)
@@ -571,7 +564,8 @@ def limit_study(kind: str, params: Params, grid: Grid, values,
         slope, intercept = float(slope), float(intercept)
     elif kind == "energy_competition":
         sweep("omega")
-        excess = [r.energy + 0.5 * params.k0**2 for r in results]
+        # the sweep keeps frame and k0, all that lab_view reads of params
+        excess = [lab_view(r, params)[1] + 0.5 * params.k0**2 for r in results]
         diagnostics["energy_excess"] = excess
         w = np.array(values) ** 2 / params.k0**2
         fitted_c0 = float(-np.dot(w, excess) / np.dot(w, w))

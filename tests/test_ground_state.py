@@ -424,6 +424,14 @@ def test_limit_study_small_k0_rate():
     aligned = study.diagnostics["state_dist_to_k0_zero"]
     ratios = np.log(aligned[-1] / aligned[0]) / np.log(0.1 / 0.0125)
     assert ratios == pytest.approx(1.0, abs=0.25)
+    # the one-inner-product distance keeps 1e-9 relative precision at these
+    # distances against the exact sqrt(h)*||a - e^{i theta} b||
+    ref = multi_start(p.with_(k0=0.0), g, GfdnOptions()).phi.psi
+    for r, d in zip(study.results, aligned):
+        overlap = np.vdot(ref, r.phi.psi)
+        exact = np.sqrt(g.cell_volume) * np.linalg.norm(
+            r.phi.psi - overlap / abs(overlap) * ref)
+        assert d == pytest.approx(exact, rel=1e-9)
 
 
 def test_limit_study_rate_needs_three_points():
@@ -457,6 +465,27 @@ def test_limit_study_energy_competition():
     assert all(e < 0.0 for e in excess)
     assert abs(excess[0]) < abs(excess[1]) < abs(excess[2])
     assert study.fitted_c0 is not None and study.fitted_c0 > 0.0
+
+
+@pytest.mark.parametrize("grid, params, omegas", [
+    (grid_1d(64), Params(k0=2.0, omega=0.5, beta11=1.0, beta12=0.5,
+                         beta22=1.0), [0.5, 1.0, 1.5]),
+    (box_1d(32), Params(k0=4.0, omega=1.0, beta11=1.0, beta12=0.5,
+                        beta22=1.0, potential="box", frame="tilde"),
+     [1.0, 2.0, 3.0]),
+], ids=["lab", "tilde"])
+def test_energy_competition_excess_reads_the_lab_energy(
+        grid, params, omegas):
+    # E_g is the lab energy; the tilde energy already carries the +k0^2/2
+    study = limit_study("energy_competition", params, grid, omegas)
+    excess = study.diagnostics["energy_excess"]
+    half_k0_sq = 0.5 * params.k0**2
+    for e, r in zip(excess, study.results):
+        assert e == lab_view(r, params)[1] + half_k0_sq
+        if params.frame == "lab":
+            assert e == r.energy + half_k0_sq
+        else:
+            assert e == pytest.approx(r.energy, abs=1e-12)
 
 
 def test_3d_linear_oscillator():
