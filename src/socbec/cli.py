@@ -3,7 +3,8 @@
     socbec run <config-file> [--out DIR]
     socbec validate <config-file>
 
-`validate` parses the config and runs the same dry run (`runner.preflight`)
+`validate` parses the config, which rejects a bad [evolve] or [lda] time step
+as it rejects any bad value, then runs the same dry run (`runner.preflight`)
 that `run` starts with, so it rejects what `run` would reject before solving,
 an unreadable initial checkpoint or one on another grid included.
 

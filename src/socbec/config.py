@@ -20,11 +20,13 @@ frame with its own k0, then a tilde config to the tilde frame with its k0;
 a field whose frame and k0 already match the config's is used as stored.
 `socbec validate` loads that checkpoint and checks its grid, as `run` does.
 
-Each section's values are the keyword arguments of its dataclass, so unset
-keys take the library defaults (gfdn tau 0.01, tol 1e-7, evolve tau 1e-3);
-an unset [lda] t_end is the [evolve] t_end.
-Config runs default to the multi-start gfdn init `auto`, and box potentials
-default to the tilde frame (the solver requirement).
+Each section resolves once, here, to the object its run reads (`Params`,
+`GfdnOptions`, `dynamics.EvolveOptions` or a spec below), whose ValueError
+is a ConfigError naming the section; a section the mode never reads is None.
+Unset keys take the library defaults (gfdn tau 0.01, tol 1e-7) or the
+config's own, passed in by `parse_config`: gfdn init `auto`, evolve and lda
+tau 1e-3, evolve record_every 10, lda t_end the [evolve] t_end, and the
+tilde frame for box potentials.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .dynamics import EvolveOptions, step_count
 from .grid import FOURIER, Axis, Grid
 from .ground_state import SWEPT_PARAMETER, GfdnOptions
 from .model import BOX, FREE, HARMONIC, LAB, TILDE, Params
@@ -75,17 +78,12 @@ class InitialSpec:
 
 
 @dataclass
-class EvolveSpec:
-    tau: float = 1e-3
-    t_end: float | None = None
-    record_every: int = 10
-    snapshot_every: int = 0
-
-
-@dataclass
 class LdaSpec:
-    tau: float = 1e-3
-    t_end: float | None = None
+    tau: float
+    t_end: float
+
+    def __post_init__(self):
+        step_count(self.tau, self.t_end)
 
 
 @dataclass
@@ -101,10 +99,10 @@ class ExperimentConfig:
     grid: Grid
     params: Params
     gfdn: GfdnOptions
-    evolve: EvolveSpec
-    initial: InitialSpec
+    evolve: EvolveOptions | None
+    initial: InitialSpec | None
     sweep: SweepSpec | None
-    lda: LdaSpec
+    lda: LdaSpec | None
     out_dir: str
     text: str = field(repr=False, default="")
 
@@ -131,6 +129,8 @@ def _tokenize(text: str):
 # ---- converters: (value, key, line) -> checked value -------------------------
 
 def _text(value: str, key: str, ln: int) -> str:
+    if not value:
+        raise ConfigError(f"{key} needs a value", ln)
     return value
 
 
@@ -159,10 +159,9 @@ def _int(value: str, key: str, ln: int) -> int:
 
 
 def _floats(value: str, key: str, ln: int) -> tuple:
-    parts = [p.strip() for p in value.split(",") if p.strip()]
-    if not parts:
+    if not value:
         raise ConfigError(f"{key} needs at least one value", ln)
-    return tuple(_float(p, key, ln) for p in parts)
+    return tuple(_float(p.strip(), key, ln) for p in value.split(","))
 
 
 def _choice(*names: str):
@@ -229,6 +228,14 @@ _SCHEMA = {
 }
 
 
+def _resolve(section: str, cls, kwargs: dict):
+    """`cls(**kwargs)`, its ValueError a ConfigError that names the section."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
+
+
 def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
     """Parse and fully validate a config; defaults applied, files checked."""
     found = {section: {} for section in _SCHEMA}
@@ -250,14 +257,15 @@ def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
     mode = found["run"].get("mode")
     if mode is None:
         raise ConfigError("missing required key 'mode' in section [run]")
+    reads = MODE_SECTIONS[mode]
     for section, ln in headers.items():
-        if section not in MODE_SECTIONS[mode]:
+        if section not in reads:
             raise ConfigError(f"{mode} mode does not read section [{section}]", ln)
     if mode == "limit_study" and "init" in found["gfdn"]:
         raise ConfigError("limit_study mode does not read [gfdn] key 'init'; "
                           "each study picks its own starts", lines["gfdn", "init"])
     kind = found["initial"].get("kind", InitialSpec.kind)
-    if ("initial" in MODE_SECTIONS[mode] and "gfdn" in headers
+    if ("initial" in reads and "gfdn" in headers
             and kind not in GROUND_STATE_KINDS):
         raise ConfigError(f"initial kind {kind!r} does not read section [gfdn]",
                           headers["gfdn"])
@@ -278,14 +286,17 @@ def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
         pkw.setdefault("frame", TILDE)  # solver requirement for box truncations
     params = Params(**pkw)
 
-    try:
-        gfdn = GfdnOptions(**{"init": "auto", **found["gfdn"]})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    gfdn = _resolve("gfdn", GfdnOptions, {"init": "auto", **found["gfdn"]})
 
-    evolve = EvolveSpec(**found["evolve"])
-    if mode in ("dynamics", "com_compare") and evolve.t_end is None:
-        raise ConfigError("missing required key 't_end' in section [evolve]")
+    evolve = lda = sweep = None
+    if "evolve" in reads:
+        if "t_end" not in found["evolve"]:
+            raise ConfigError("missing required key 't_end' in section [evolve]")
+        evolve = _resolve("evolve", EvolveOptions,
+                          {"tau": 1e-3, "record_every": 10, **found["evolve"]})
+    if "lda" in reads:
+        lda = _resolve("lda", LdaSpec,
+                       {"tau": 1e-3, "t_end": evolve.t_end, **found["lda"]})
 
     ikw = found["initial"]
     for key in ikw:
@@ -298,31 +309,27 @@ def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
             raise ConfigError(f"initial checkpoint {ikw['path']!r} does not exist",
                               lines["initial", "path"])
         ikw["path"] = str(resolved)
-    initial = InitialSpec(**ikw)
-    if initial.kind == "checkpoint" and initial.path is None:
+    if kind == "checkpoint" and "path" not in ikw:
         raise ConfigError("initial kind 'checkpoint' needs 'path'")
     for key in ("center", "offset"):
-        tup = getattr(initial, key)
+        tup = ikw.get(key, ())
         if tup and len(tup) != grid.dim:
             raise ConfigError(
                 f"initial {key} has {len(tup)} entries for a {grid.dim}D grid",
                 lines["initial", key],
             )
+    initial = InitialSpec(**ikw) if "initial" in reads else None
 
-    skw = found["sweep"]
-    sweep = None
-    if skw:
+    if "sweep" in reads:
+        skw = found["sweep"]
         if set(skw) != set(_SCHEMA["sweep"]):
-            raise ConfigError("sweep needs both 'kind' and 'values'")
+            raise ConfigError("limit_study mode needs [sweep] 'kind' and 'values'")
         sweep = SweepSpec(**skw, parameter=SWEPT_PARAMETER[skw["kind"]])
-    if mode == "limit_study" and sweep is None:
-        raise ConfigError("limit_study mode needs a [sweep] section")
 
     return ExperimentConfig(
         mode=mode, grid=grid, params=params, gfdn=gfdn, evolve=evolve,
-        initial=initial, sweep=sweep,
-        lda=LdaSpec(**{"t_end": evolve.t_end, **found["lda"]}),
-        out_dir=found["output"].get("dir") or "socbec_out", text=text,
+        initial=initial, sweep=sweep, lda=lda,
+        out_dir=found["output"].get("dir", "socbec_out"), text=text,
     )
 
 

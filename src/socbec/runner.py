@@ -40,7 +40,7 @@ from .com import (
     xc_closed_form,
 )
 from .config import GROUND_STATE_KINDS, ExperimentConfig
-from .dynamics import EvolveOptions, evolve, step_count
+from .dynamics import evolve
 from .grid import FOURIER
 from .ground_state import (
     check_study,
@@ -99,13 +99,6 @@ class RunFailure(RuntimeError):
     pass
 
 
-def _evolve_options(config: ExperimentConfig) -> EvolveOptions:
-    spec = config.evolve
-    return EvolveOptions(tau=spec.tau, t_end=spec.t_end,
-                         record_every=spec.record_every,
-                         snapshot_every=spec.snapshot_every)
-
-
 def _shift_steps(grid, offset):
     """Whole-cell shifts per axis for shifted initial data."""
     shifts = []
@@ -134,7 +127,8 @@ def preflight(config: ExperimentConfig) -> list:
     """Dry run of the rules `run` applies before it solves or steps.
 
     Builds the discretization of every parameter set the run uses and checks
-    it against the mode, and loads an initial checkpoint and checks its grid.
+    it against the mode, and loads an initial checkpoint and checks its grid;
+    `parse_config` has already checked the [evolve] and [lda] time steps.
     Raises ValueError (CheckpointError included), OSError or RunFailure on
     the first violation; returns the resolution warnings.
     """
@@ -156,15 +150,10 @@ def preflight(config: ExperimentConfig) -> list:
         for v in cfg.sweep.values:
             use(cfg.params.with_(**{cfg.sweep.parameter: v}), flow=True)
     else:
-        _evolve_options(cfg)
         if cfg.mode == "com_compare":
             if cfg.params.potential != HARMONIC or cfg.params.frame != LAB:
                 raise RunFailure("com_compare needs lab-frame harmonic-trap "
                                  "dynamics")
-            try:
-                step_count(cfg.lda.tau, cfg.lda.t_end)
-            except ValueError as exc:
-                raise RunFailure(f"[lda] {exc}") from None
         use(cfg.params, flow=False)
         if cfg.initial.kind in GROUND_STATE_KINDS:
             use(cfg.params, flow=True)
@@ -287,7 +276,7 @@ class _Run:
 
     def _run_evolution(self, psi0: Spinor):
         cfg = self.config
-        series = evolve(psi0, cfg.params, _evolve_options(cfg))
+        series = evolve(psi0, cfg.params, cfg.evolve)
         header = ["t"] + _obs_columns(cfg.grid.dim)
         rows = [[t] + _obs_values(r) for t, r in zip(series.times, series.records)]
         _write_csv(self.path("observables.csv"), header, rows)

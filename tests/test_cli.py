@@ -291,11 +291,20 @@ def test_manifest_shows_the_lda_t_end_the_ode_runs_to(tmp_path):
     assert main(["run", write(tmp_path, "com.cfg", text), "--out", str(out)]) == 0
     manifest = (out / "run_manifest.txt").read_text().splitlines()
     assert "lda LdaSpec(tau=0.001, t_end=0.05)" in manifest
+    assert ("evolve EvolveOptions(tau=0.001, t_end=0.05, record_every=10, "
+            "snapshot_every=25)") in manifest
     out = tmp_path / "set"
     text += "[lda]\nt_end = 0.02\n"
     assert main(["run", write(tmp_path, "set.cfg", text), "--out", str(out)]) == 0
     manifest = (out / "run_manifest.txt").read_text().splitlines()
     assert "lda LdaSpec(tau=0.001, t_end=0.02)" in manifest
+    # the [resolved] block echoes only the sections the run reads
+    out = tmp_path / "gs"
+    assert main(["run", write(tmp_path, "gs.cfg", GS_CONFIG), "--out",
+                 str(out)]) == 0
+    manifest = (out / "run_manifest.txt").read_text().splitlines()
+    for section in ("evolve", "initial", "lda", "sweep"):
+        assert f"{section} None" in manifest
 
 
 def test_threads_flag_is_a_usage_error(tmp_path, capsys):
@@ -418,6 +427,8 @@ GAUSSIAN_START_GFDN = DYN_CONFIG + "[gfdn]\ntau = 0.02\n"
 NEGATIVE_SNAPSHOT_EVERY = DYN_CONFIG.replace("snapshot_every = 25",
                                              "snapshot_every = -3")
 
+ZERO_RECORD_EVERY = DYN_CONFIG.replace("record_every = 10", "record_every = 0")
+
 # sections a ground_state run never reads, the [initial] path being this
 # config file itself rather than a checkpoint
 UNREAD_SECTIONS = GS_CONFIG + (
@@ -429,19 +440,20 @@ UNREAD_SECTIONS = GS_CONFIG + (
 @pytest.mark.parametrize("text, needle, run_status", [
     (HARMONIC_ON_SINE, "Fourier grid", 2),
     (BOX_ON_FOURIER, "sine-basis", 2),
-    (T_END_NOT_MULTIPLE, "multiple of tau", 2),
-    (LDA_T_END_NOT_MULTIPLE, "multiple of tau", 2),
+    (T_END_NOT_MULTIPLE, "[evolve] t_end must be an integer multiple", 1),
+    (LDA_T_END_NOT_MULTIPLE, "[lda] t_end must be an integer multiple", 1),
     (RATE_SWEEP_ZERO_K0, "positive k0", 2),
     (RATE_SWEEP_REPEATED, "repeated sweep values", 2),
-    (NEGATIVE_SNAPSHOT_EVERY, "snapshot_every", 2),
+    (NEGATIVE_SNAPSHOT_EVERY, "[evolve] snapshot_every must be >= 0", 1),
+    (ZERO_RECORD_EVERY, "[evolve] record_every must be >= 1", 1),
     (UNREAD_SECTIONS, "ground_state mode does not read section [evolve]", 1),
     (STUDY_INIT, "line 12: limit_study mode does not read [gfdn] key 'init'", 1),
     (GAUSSIAN_START_GFDN,
      "line 20: initial kind 'gaussian' does not read section [gfdn]", 1),
 ], ids=["harmonic_on_sine", "box_on_fourier", "t_end_not_multiple",
         "lda_t_end_not_multiple", "rate_sweep_zero_k0", "rate_sweep_repeated",
-        "negative_snapshot_every", "unread_sections", "study_init",
-        "gaussian_start_gfdn"])
+        "negative_snapshot_every", "zero_record_every", "unread_sections",
+        "study_init", "gaussian_start_gfdn"])
 def test_validate_and_run_reject_alike(tmp_path, capsys, text, needle,
                                        run_status):
     cfg = write(tmp_path, "bad.cfg", text)

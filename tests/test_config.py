@@ -2,9 +2,9 @@ from dataclasses import fields
 
 import pytest
 
-from socbec import ConfigError, GfdnOptions, Params, parse_config
-from socbec.config import (_SCHEMA, INITIAL_KEYS, MODE_SECTIONS, EvolveSpec,
-                           InitialSpec, LdaSpec, SweepSpec)
+from socbec import ConfigError, EvolveOptions, GfdnOptions, Params, parse_config
+from socbec.config import (_SCHEMA, INITIAL_KEYS, MODE_SECTIONS, InitialSpec,
+                           LdaSpec, SweepSpec)
 
 MINIMAL = """
 [run]
@@ -20,11 +20,16 @@ def test_minimal_config_defaults():
     assert cfg.gfdn.tau == 0.01
     assert cfg.gfdn.tol == 1e-7
     assert cfg.gfdn.init == "auto"
-    assert cfg.evolve.tau == 1e-3
+    assert cfg.evolve is None
     assert cfg.params.potential == "harmonic"
     assert cfg.params.frame == "lab"
     assert cfg.grid.dim == 1
     assert cfg.out_dir == "socbec_out"
+    # the config's own evolve defaults, tau 1e-3 and record_every 10
+    dyn = parse_config(MINIMAL.replace("ground_state", "dynamics")
+                       + "[evolve]\nt_end = 0.05\n")
+    assert dyn.evolve == EvolveOptions(tau=1e-3, t_end=0.05, record_every=10,
+                                       snapshot_every=0)
 
 
 def test_params_parsed():
@@ -233,6 +238,24 @@ def test_initial_keys_each_kind_reads_accepted(tmp_path):
     assert read | {"kind"} == set(_SCHEMA["initial"])
 
 
+@pytest.mark.parametrize("mode, lines, key", [
+    ("limit_study", ["[sweep]", "kind = large_delta", "values = 0.1, , 0.2, 0.3,"],
+     "values"),
+    ("dynamics", ["[evolve]", "t_end = 0.1", "[initial]", "center = 1,"],
+     "center"),
+    ("ground_state", ["[output]", "dir ="], "dir"),
+    ("dynamics", ["[evolve]", "t_end = 0.1", "[initial]", "kind = checkpoint",
+                  "path ="], "path"),
+], ids=["sweep_values", "initial_center", "output_dir", "initial_path"])
+def test_empty_item_or_value_reports_line(tmp_path, mode, lines, key):
+    # an empty list item is not skipped, and an empty dir or path is not
+    # the default directory or the config's own directory
+    text = MINIMAL.replace("ground_state", mode) + "\n".join(lines) + "\n"
+    with pytest.raises(ConfigError, match=key) as err:
+        parse_config(text, base_dir=tmp_path)
+    assert err.value.line == len(text.splitlines())
+
+
 def test_comments_and_blank_lines_ignored():
     text = """
 # experiment
@@ -289,7 +312,7 @@ def test_removed_gfdn_keys_rejected(key):
 
 
 @pytest.mark.parametrize("section, cls", [
-    ("params", Params), ("gfdn", GfdnOptions), ("evolve", EvolveSpec),
+    ("params", Params), ("gfdn", GfdnOptions), ("evolve", EvolveOptions),
     ("initial", InitialSpec), ("lda", LdaSpec), ("sweep", SweepSpec),
 ], ids=lambda v: getattr(v, "__name__", v))
 def test_section_keys_are_dataclass_fields(section, cls):
