@@ -44,6 +44,7 @@ tables, rebuilt on every call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -312,7 +313,8 @@ def evolve(psi0: Spinor, params: Params, options: EvolveOptions,
     c = half(g.forward(psi0.psi))
     for step in range(1, n_steps + 1):
         m = g.forward(core(g.inverse(c, overwrite=True)), overwrite=True)
-        if not np.isfinite(np.vdot(m, m)):
+        # the complex sum is finite exactly when its real part, sum |m|^2, is
+        if not math.isfinite(np.vdot(m, m).real):
             aborted = True
             break
         t = step * options.tau

@@ -188,8 +188,11 @@ class Axis:
 
     def wavenumbers(self) -> np.ndarray:
         if self.basis == FOURIER:
-            # FFT order: 0, 1, ..., n/2-1, -n/2, ..., -1
-            return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.h)
+            # FFT order: 0, 1, ..., n/2-1, -n/2, ..., -1, times 1/(n h) as
+            # fftfreq computes it, without importing numpy.fft (+0.43 MB)
+            k = np.arange(self.n)
+            k[self.n // 2:] -= self.n
+            return 2.0 * np.pi * (k * (1.0 / (self.n * self.h)))
         return np.pi * np.arange(1, self.n) / self.length
 
 

@@ -10,10 +10,14 @@ refresh derives the step and both shifts from the running iterate.
 
 A solve converges when the discrete L2 eigen residual ||H(psi)psi - mu psi||
 (mu = E + quartic) is below `tol` (the residual stop of Antoine, Levitt &
-Tang 2017), the flow's only stop test.  It runs at each refresh, and once
-more if a solve ends between refreshes.  `GroundStateResult.residual` is
-the eigen residual of the returned state, converged or not; `converged` is
-`residual < tol`.
+Tang 2017), the flow's only stop test.  It tests each refreshed iterate,
+with the residual that the next step reads off its own modes (see
+`_Flow.step`): that look-ahead step costs no transform beyond its own pair,
+and is never counted or returned.  A value below `tol` is confirmed once
+with `Discretization.eigen_residual`; a solve that ends otherwise (merged,
+out of iterations or failed) computes that exact residual once at the end.
+`GroundStateResult.residual` is the eigen residual of the returned state,
+converged or not; `converged` is `residual < tol`.
 
 Two entry points share the machinery: `gfdn_solve` runs the lab-frame flow
 on Fourier grids (harmonic or free potentials), and `besp_solve` runs the
@@ -33,6 +37,7 @@ with the converged best so far (see its docstring).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -121,19 +126,28 @@ class _Flow:
     lowest mode of `Discretization.symbol`, keeps every backward-Euler
     denominator >= 1.  Constant shifts cancel at the fixed point, so none of
     this changes the converged state.  Each refresh records the largest
-    energy rise between refreshes in `energy_rise` and returns the eigen
-    residual (None between refreshes).  `step` computes |psi|^2,
-    tau*beta@|psi|^2 and the Raman term in work buffers built per flow.
+    energy rise between refreshes in `energy_rise` and keeps F(psi), the
+    forward transform its energy takes, for the next `step`, which reads
+    the refreshed iterate's eigen residual off its own modes into
+    `residual`.  `step` computes |psi|^2, tau*beta@|psi|^2 and the Raman
+    term in work buffers built per flow, which `refresh` borrows as
+    scratch; `inv_den`, `lin` and the tilde frame's stacked `tau_coupling`
+    are tables the flow owns: built once, then refilled in place.  The flow
+    runs only where the discretization has no gauge (`check_flow`), so the
+    spectral block acts on psi itself.
     """
 
     def __init__(self, disc: Discretization, tau: float):
         disc.check_flow()
         self.disc = disc
         self.tau_min = tau
+        self.inv_den = self.lin = self.tau_coupling = None  # built on first use
         self.set_tau(tau)
         self.symbol_min = float(disc.symbol.min())
         self.energy = np.inf  # no refresh yet
         self.energy_rise = 0.0
+        self.residual = None  # of the last refreshed iterate, once stepped
+        self._modes = None  # F(psi) of the last refresh, until the next step
         shape = (2,) + disc.grid.shape
         self._rho = np.empty(shape)
         self._tau_beta_rho = np.empty(shape)
@@ -144,10 +158,12 @@ class _Flow:
         1 + tau*(alpha - mu_hat + symbol) >= 1; the lowest mode's is 1."""
         return mu_hat - self.symbol_min
 
-    def refresh(self, psi: np.ndarray, it: int = 0) -> float | None:
+    def refresh(self, psi: np.ndarray, it: int = 0) -> bool:
         """Step and shift refresh after iteration `it` (0: set-up on the start).
 
-        Runs at multiples of MU_UPDATE_EVERY; floor is `guard_floor(mu_hat)`.
+        Runs at multiples of MU_UPDATE_EVERY and says whether it ran; floor
+        is `guard_floor(mu_hat)`.  The next `step` reads the eigen residual
+        of `psi` off its modes.
 
         Step: the linearized explicit term of a node (along psi the
         derivative of beta*rho*psi is 3*beta*rho) is at most
@@ -168,10 +184,10 @@ class _Flow:
         (U <= U_lin), so a raised step always runs at the floor.
         """
         if it % MU_UPDATE_EVERY:
-            return None
+            return False
         d = self.disc
-        modes = d.grid.forward(d.ungauged(psi))
-        e, quartic = d.energy_parts(psi, abs2(modes))
+        self._modes = d.grid.forward(psi)
+        e, quartic = d.energy_parts(psi, abs2(self._modes))
         self.energy_rise = max(self.energy_rise, e - self.energy)
         self.energy = e
         mu_hat = e + quartic
@@ -179,27 +195,44 @@ class _Flow:
         pot = d.potential(psi)
         half_omega = 0.5 * abs(d.params.omega)
         u = float(pot.max())
-        u_lin = float((3.0 * pot - 2.0 * d.v).max()) + half_omega
+        pot *= 3.0  # then 3*pot - 2*V, with the step's buffer for 2*V
+        pot -= np.multiply(d.v, 2.0, out=self._rho)
+        u_lin = float(pot.max()) + half_omega
         tau = self.tau_min
         if u_lin > floor:
             tau = max(tau, 1.0 / (u_lin - floor))
         self.set_tau(tau)
         self.alpha = min(0.5 * u, 0.5 * (u + half_omega + floor) - 1.0 / tau)
         self.set_shifts(max(self.alpha, floor), mu_hat)
-        return d.eigen_residual(psi, mu_hat, modes)
+        return True
 
     def set_tau(self, tau: float):
         self.tau = tau
         self.tau_beta = tau * self.disc.beta
-        self.tau_coupling = tau * self.disc.coupling
+        if isinstance(self.disc.coupling, np.ndarray):  # tilde frame
+            self.tau_coupling = np.multiply(tau, self.disc.coupling,
+                                            out=self.tau_coupling)
+        else:
+            self.tau_coupling = tau * self.disc.coupling
 
     def set_shifts(self, alpha: float, mu_hat: float):
         tau = self.tau
-        self.inv_den = 1.0 / (1.0 + tau * (self.disc.symbol + (alpha - mu_hat)))
-        self.lin = 1.0 + tau * (alpha - self.disc.v)
+        # inv_den = 1/(1 + tau*(symbol + (alpha - mu_hat))) and
+        # lin = 1 + tau*(alpha - V), in place after the first refresh
+        self.inv_den = den = np.add(self.disc.symbol, alpha - mu_hat,
+                                    out=self.inv_den)
+        den *= tau
+        den += 1.0
+        np.divide(1.0, den, out=den)
+        self.lin = lin = np.subtract(alpha, self.disc.v, out=self.lin)
+        lin *= tau
+        lin += 1.0
 
     def step(self, psi: np.ndarray) -> np.ndarray:
-        """One backward-Euler step plus joint renormalization (new array)."""
+        """One backward-Euler step plus joint renormalization (new array).
+
+        After a refresh it also sets `residual` (see `_read_residual`).
+        """
         g = self.disc.grid
         rho, tbr = self._rho, self._tau_beta_rho
         # rho = |psi|^2, then tbr = lin - tau*beta@rho, all in the buffers
@@ -209,10 +242,13 @@ class _Flow:
         u = np.subtract(self.lin, tbr, out=tbr) * psi
         u -= np.multiply(self.tau_coupling, psi[::-1], out=self._raman)
         c = g.forward(u, overwrite=True)
+        del u  # the dense sine path's input, freed before the inverse
         c *= self.inv_den
+        if self._modes is not None:
+            self.residual = self._read_residual(c)
         out = g.inverse(c, overwrite=True)
-        norm_sq = g.cell_volume * np.vdot(out, out).real
-        if not np.isfinite(norm_sq):
+        norm_sq = g.cell_volume * float(np.vdot(out, out).real)
+        if not math.isfinite(norm_sq):
             raise FloatingPointError(
                 "gradient flow produced non-finite values (tau too large?)"
             )
@@ -221,8 +257,25 @@ class _Flow:
         # numpy divides a complex array by a real scalar by multiplying with
         # its reciprocal, so this gives the bits of `/=` (up to the sign of
         # an exact -0 entry) without the complex division
-        out *= 1.0 / np.sqrt(norm_sq)
+        out *= 1.0 / math.sqrt(norm_sq)
         return out
+
+    def _read_residual(self, c: np.ndarray) -> float:
+        """Eigen residual of the refreshed psi, from the step's modes `c`.
+
+        With the shifts set at psi (mu_hat = E + quartic), the unnormalized
+        modes c = F(u)*inv_den give the modes of the eigen residual:
+        F(H psi - mu_hat psi) = (F(psi) - c)/(tau*inv_den), whose norm is
+        sqrt(mode_weight*sum|.|^2) by Parseval.  It overwrites F(psi) and
+        drops it before the step's inverse transform.  F(psi) - c cancels as
+        the flow converges: at the converged benchmark states the value
+        matches `Discretization.eigen_residual` to 2e-9 to 3e-8 relative.
+        """
+        r, self._modes = self._modes, None
+        r -= c
+        r /= self.inv_den  # then by tau, on the norm
+        return math.sqrt(self.disc.grid.mode_weight
+                         * float(np.vdot(r, r).real)) / self.tau
 
 
 def gfdn_step(phi: Spinor, params: Params, options: GfdnOptions) -> Spinor:
@@ -254,26 +307,39 @@ def _solve(params: Params, grid: Grid, options: GfdnOptions,
     disc = discretization(grid, params)
     flow = _Flow(disc, options.tau)
     psi = build_initial_state(options.init, grid, params).psi
-    residual = flow.refresh(psi)
+    flow.refresh(psi)
+    tested = False  # psi was refreshed after an iteration; not the start
+    residual = None  # eigen residual of psi, once certified
     gap = np.inf  # to merge_into, at the last refresh that tested it
     iterations = 0
     warnings = list(disc.warnings)
     try:
         for it in range(1, options.max_iters + 1):
-            psi = flow.step(psi)
-            iterations = it
-            residual = flow.refresh(psi, it)
-            if residual is None:
-                continue
-            if residual < options.tol:
-                break
-            if merge_into is not None:
-                gap = _gap(grid, merge_into, psi)
-                if gap < MERGE_DISTANCE:
-                    break
+            new = flow.step(psi)
+            if tested:  # decide on psi with the residual the step read off
+                if flow.residual < options.tol:
+                    # free the look-ahead iterate for the exact pass; the
+                    # step is a function of psi and the tables, so a failed
+                    # confirmation takes it again, with the same bits
+                    new = None
+                    exact = disc.eigen_residual(psi)
+                    if exact < options.tol:
+                        residual = exact
+                        break
+                    new = flow.step(psi)
+                if merge_into is not None:
+                    gap = _gap(grid, merge_into, psi)
+                    if gap < MERGE_DISTANCE:
+                        break
+            psi, iterations = new, it
+            tested = flow.refresh(psi, it)
     except FloatingPointError as exc:  # psi predates the failed step
         warnings.append(str(exc))
-    if residual is None:  # the solve ended between refreshes
+    energy_rise = flow.energy_rise
+    # the flow's tables, an unread F(psi) and the look-ahead iterate are not
+    # needed any more; freed, they add nothing to the exact pass's peak
+    flow = new = None
+    if residual is None:  # merged, out of iterations or failed
         residual = disc.eigen_residual(psi)
     converged = residual < options.tol
 
@@ -287,10 +353,10 @@ def _solve(params: Params, grid: Grid, options: GfdnOptions,
             f"gradient flow did not reach tol={options.tol:g} within "
             f"{iterations} iterations (eigen residual {residual:.3e})"
         )
-    if flow.energy_rise > 1e-10:
+    if energy_rise > 1e-10:
         warnings.append(
             "energy increased between shift refreshes by up to "
-            f"{flow.energy_rise:.3e}; tau may be too large"
+            f"{energy_rise:.3e}; tau may be too large"
         )
     if params.omega == 0.0:
         _, distinct = uniqueness_indicator(params, grid)

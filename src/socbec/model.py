@@ -332,14 +332,13 @@ class Discretization:
         h += self.coupling * psi[::-1]
         return h
 
-    def eigen_residual(self, psi: np.ndarray, mu: float | None = None,
-                       modes: np.ndarray | None = None) -> float:
+    def eigen_residual(self, psi: np.ndarray, mu: float | None = None) -> float:
         """Discrete L2 norm of H(psi)psi - mu*psi; mu defaults to E + quartic.
 
-        One transform pair: the forward transform of G^-1 psi (`modes` when
-        the caller has it; overwritten) serves the energy and H psi.
+        One transform pair: the forward transform of G^-1 psi serves the
+        energy and H psi.
         """
-        c = self.grid.forward(self.ungauged(psi)) if modes is None else modes
+        c = self.grid.forward(self.ungauged(psi))
         if mu is None:
             e, quartic = self.energy_parts(psi, abs2(c))
             mu = e + quartic

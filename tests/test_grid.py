@@ -323,6 +323,16 @@ def test_import_socbec_leaves_scipy_fft_unloaded():
                      "assert 'hashlib' not in sys.modules, 'hashlib'")
 
 
+def test_fourier_grid_leaves_numpy_fft_unloaded():
+    # numpy loads numpy.fft on first use; the wavenumbers build the FFT
+    # order themselves
+    run_python("-c", "import sys\n"
+                     "from socbec import Axis, make_grid\n"
+                     "g = make_grid([Axis(-8.0, 8.0, 64), Axis(-1.0, 1.0, 16)])\n"
+                     "assert g.wavenumbers[0][32] < 0 < g.mu2[1, 1]\n"
+                     "assert 'numpy.fft' not in sys.modules")
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_validate_run_leaves_scipy_fft_unloaded(tmp_path, command):
     # -X importtime logs every module the run imports, lazy imports included;

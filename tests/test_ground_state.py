@@ -24,7 +24,7 @@ from socbec import (
 from socbec import ground_state
 from socbec.grid import DENSE_SINE_MAX_N, Grid, _dst1_pair
 from socbec.ground_state import default_starts
-from socbec.model import abs2, discretization
+from socbec.model import Discretization, abs2, discretization
 from socbec.states import build_initial_state, gaussian_profile, single_component
 
 
@@ -370,9 +370,11 @@ def test_every_result_reports_the_residual_of_its_state(monkeypatch):
 
 
 def test_a_converged_solve_transforms_only_in_steps_and_refreshes(monkeypatch):
-    # N iterations take N forward/inverse pairs, every refresh (set-up
-    # included) one pair for the energy and the eigen residual, and the
-    # final energy one forward
+    # N iterations and the look-ahead step that tests the last refresh take
+    # N + 1 forward/inverse pairs, every refresh (set-up included) one
+    # forward for the energy, whose modes the next step reuses for the
+    # eigen residual; certifying takes one exact residual pair and the final
+    # energy one forward
     calls = {"forward": 0, "inverse": 0}
 
     def counted(name):
@@ -389,7 +391,8 @@ def test_a_converged_solve_transforms_only_in_steps_and_refreshes(monkeypatch):
     n = res.iterations
     assert res.converged and n == 680
     refreshes = n // ground_state.MU_UPDATE_EVERY + 1
-    assert calls == {"forward": n + refreshes + 1, "inverse": n + refreshes}
+    assert calls == {"forward": (n + 1) + refreshes + 1 + 1,
+                     "inverse": (n + 1) + 1}
 
 
 def test_multi_start_needs_starts():
@@ -921,3 +924,101 @@ def test_flow_step_returns_a_fresh_array(g, p):
     opts = GfdnOptions()
     assert np.array_equal(gfdn_step(start, p, opts).psi,
                           gfdn_step(start, p, opts).psi)
+
+
+# ---- the eigen residual read off the next step --------------------------------
+
+def look_ahead_residual(g, p, psi):
+    """The residual of `psi` that the step after a refresh at `psi` reads."""
+    flow = ground_state._Flow(discretization(g, p), GfdnOptions().tau)
+    assert flow.refresh(psi)
+    flow.step(psi)
+    return flow.residual
+
+
+@pytest.mark.parametrize("g, p, init", [
+    (grid_1d(128), SWEEP_1D_PARAMS, "gaussian_pair"),
+    (COM_2D_GRID, COM_2D_PARAMS, "gaussian_opposite"),
+    (BOX_GS_GRID, BOX_GS_PARAMS, "gaussian_opposite"),
+], ids=["sweep_1d", "com_2d", "box_gs_k0_10"])
+def test_the_look_ahead_residual_is_the_eigen_residual(g, p, init):
+    # (F(psi) - c)/(tau*inv_den) are the modes of H psi - mu psi.  F(psi) - c
+    # cancels as the flow converges and 1/tau amplifies the round-off of the
+    # two transforms: at these converged states the two values differ by
+    # 2.3e-9 (sweep_1d), 3.2e-8 (com_2d) and 2.1e-8 (box_gs) relative, and
+    # against a long-double reference the exact value is the closer one
+    start = build_initial_state(init, g, p)
+    exact = eigen_residual(start, p)
+    assert abs(look_ahead_residual(g, p, start.psi) - exact) <= 1e-12 * exact
+    solve = besp_solve if p.frame == "tilde" else gfdn_solve
+    res = solve(p, g, GfdnOptions(init=init))
+    assert res.converged
+    cheap = look_ahead_residual(g, p, res.phi.psi)
+    assert abs(cheap - res.residual) <= 5e-8 * res.residual
+
+
+def test_a_failed_look_ahead_step_returns_the_refreshed_iterate(monkeypatch):
+    # the step that would test the refresh at iteration 20 fails: the solve
+    # returns that iterate, uncounted step aside, with its exact residual
+    g, p = grid_1d(), SWEEP_1D.with_(k0=0.05)
+    at_20 = gfdn_solve(p, g, GfdnOptions(max_iters=20))
+    step, calls = ground_state._Flow.step, []
+
+    def failing(self, psi):
+        calls.append(None)
+        if len(calls) == 21:
+            raise FloatingPointError("injected")
+        return step(self, psi)
+
+    monkeypatch.setattr(ground_state._Flow, "step", failing)
+    res = gfdn_solve(p, g, GfdnOptions())
+    assert len(calls) == 21 and res.iterations == 20
+    assert np.array_equal(res.phi.psi, at_20.phi.psi)
+    assert res.residual == eigen_residual(res.phi, p) == at_20.residual
+    assert not res.converged
+    assert "injected" in res.warnings
+
+
+def test_a_failed_confirmation_continues_on_the_plain_iterates(monkeypatch):
+    # the look-ahead value passes and the exact one fails: the solve drops
+    # the look-ahead iterate for the exact pass, takes that step again and
+    # certifies one refresh later, on the iterates of the plain loop
+    g, p = grid_1d(), SWEEP_1D.with_(k0=0.05)
+    first = gfdn_solve(p, g, GfdnOptions())
+    exact, calls = Discretization.eigen_residual, []
+
+    def failing_once(self, psi, mu=None):
+        calls.append(None)
+        return np.inf if len(calls) == 1 else exact(self, psi, mu)
+
+    monkeypatch.setattr(Discretization, "eigen_residual", failing_once)
+    res = gfdn_solve(p, g, GfdnOptions())
+    assert res.converged
+    assert res.iterations == first.iterations + ground_state.MU_UPDATE_EVERY
+    assert np.array_equal(res.phi.psi,
+                          reference_flow(p, g, "gaussian_pair", res.iterations))
+
+
+@pytest.mark.parametrize("g, p", [
+    (COM_2D_GRID, COM_2D_PARAMS),
+    (BOX_GS_GRID, BOX_GS_PARAMS),
+], ids=["lab", "tilde"])
+def test_refresh_refills_its_tables_in_place(g, p):
+    flow = ground_state._Flow(discretization(g, p), GfdnOptions().tau)
+    psi = build_initial_state("gaussian_opposite", g, p).psi
+
+    def tables():
+        out = [flow.inv_den, flow.lin]
+        if p.frame == "tilde":  # a lab frame's coupling is a scalar
+            out.append(flow.tau_coupling)
+        return out
+
+    flow.refresh(psi)
+    first = tables()
+    values = [t.copy() for t in first]
+    for it in range(1, 2 * ground_state.MU_UPDATE_EVERY + 1):
+        psi = flow.step(psi)
+        flow.refresh(psi, it)
+    for old, new, value in zip(first, tables(), values):
+        assert np.shares_memory(old, new)
+        assert not np.array_equal(new, value)
