@@ -28,6 +28,11 @@ from .model import Params, Spinor, observables
 RESONANCE_TOL = 1e-12
 
 
+def _overlap_im(phi: Spinor) -> float:
+    """Im int conj(psi1) psi2, the overlap that drives delta_N and xc''."""
+    return float(np.imag(phi.grid.quadrature(np.conj(phi.psi1) * phi.psi2)))
+
+
 @dataclass(frozen=True)
 class ComClosedFormInputs:
     """Initial data of the closed-form approximations.
@@ -57,12 +62,11 @@ class ComClosedFormInputs:
     @classmethod
     def from_state(cls, phi: Spinor, params: Params) -> "ComClosedFormInputs":
         obs = observables(phi, params)
-        g = phi.grid
-        c0 = 2.0 * float(np.imag(g.quadrature(np.conj(phi.psi1) * phi.psi2)))
         return cls(
             x0=float(obs.xc[0]), p0x=float(obs.momentum[0]),
-            delta_n0=obs.delta_n, c0=c0, gamma_x=params.gamma_x,
-            omega=params.omega, k0=params.k0, delta=params.delta,
+            delta_n0=obs.delta_n, c0=2.0 * _overlap_im(phi),
+            gamma_x=params.gamma_x, omega=params.omega, k0=params.k0,
+            delta=params.delta,
         )
 
 
@@ -72,8 +76,7 @@ def com_rhs_exact(phi: Spinor, params: Params) -> np.ndarray:
     obs = observables(phi, params)
     gammas = params.gammas(g.dim)
     acc = -np.array(gammas) ** 2 * obs.xc
-    overlap_im = float(np.imag(g.quadrature(np.conj(phi.psi1) * phi.psi2)))
-    acc[0] -= 2.0 * params.k0 * params.omega * overlap_im
+    acc[0] -= 2.0 * params.k0 * params.omega * _overlap_im(phi)
     return acc
 
 
@@ -92,19 +95,18 @@ def xc_closed_form(inputs: ComClosedFormInputs, t):
     x0, p0 = inputs.x0, inputs.p0x
     if k0 == 0.0:
         out = x0 * np.cos(g * t) + (p0 / g) * np.sin(g * t)
-        return float(out) if out.ndim == 0 else out
-    if inputs.resonant:
+    elif inputs.resonant:
         sgn = np.sign(om)
         out = ((x0 - 0.5 * k0 * d0 * t) * np.cos(g * t)
                + (p0 - 0.5 * k0 * d0 - sgn * 0.5 * g * k0 * c0 * t)
                * np.sin(g * t) / g)
-        return float(out) if out.ndim == 0 else out
-    denom = g**2 - om**2
-    a_cos = x0 + k0 * c0 * om / denom
-    b_sin = (p0 - g**2 * k0 * d0 / denom) / g
-    out = (a_cos * np.cos(g * t) + b_sin * np.sin(g * t)
-           - (k0 * c0 * om / denom) * np.cos(om * t)
-           + (k0 * d0 * om / denom) * np.sin(om * t))
+    else:
+        denom = g**2 - om**2
+        a_cos = x0 + k0 * c0 * om / denom
+        b_sin = (p0 - g**2 * k0 * d0 / denom) / g
+        out = (a_cos * np.cos(g * t) + b_sin * np.sin(g * t)
+               - (k0 * c0 * om / denom) * np.cos(om * t)
+               + (k0 * d0 * om / denom) * np.sin(om * t))
     return float(out) if out.ndim == 0 else out
 
 

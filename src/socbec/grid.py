@@ -417,5 +417,5 @@ def _apply_per_axis(arr: np.ndarray, mats, order) -> np.ndarray:
 
 
 def make_grid(axes) -> Grid:
-    """Build a Grid from Axis specs, validating the Axis invariants."""
+    """`Grid(axes)`: Grid checks the axes, each Axis its own invariants."""
     return Grid(axes)

@@ -10,10 +10,10 @@ refresh derives the step and both shifts from the running iterate.
 
 A solve converges when the discrete L2 eigen residual ||H(psi)psi - mu psi||
 (mu = E + quartic) is below `tol` (the residual stop of Antoine, Levitt &
-Tang 2017), the flow's only stop test.  It tests each refreshed iterate,
-with the residual that the next step reads off its own modes (see
-`_Flow.step`): that look-ahead step costs no transform beyond its own pair,
-and is never counted or returned.  A value below `tol` is confirmed once
+Tang 2017), the flow's only stop test.  It tests each iterate as soon as
+it is refreshed: the refresh computes the next step's modes and reads the
+iterate's residual off them (see `_Flow.refresh`), so the test costs no
+transform beyond the step's own.  A value below `tol` is confirmed once
 with `Discretization.eigen_residual`; a solve that ends otherwise (merged,
 out of iterations or failed) computes that exact residual once at the end.
 `GroundStateResult.residual` is the eigen residual of the returned state,
@@ -126,13 +126,13 @@ class _Flow:
     lowest mode of `Discretization.symbol`, keeps every backward-Euler
     denominator >= 1.  Constant shifts cancel at the fixed point, so none of
     this changes the converged state.  Each refresh records the largest
-    energy rise between refreshes in `energy_rise` and keeps F(psi), the
-    forward transform its energy takes, for the next `step`, which reads
-    the refreshed iterate's eigen residual off its own modes into
-    `residual`.  `step` computes |psi|^2, tau*beta@|psi|^2 and the Raman
-    term in work buffers built per flow, which `refresh` borrows as
-    scratch; `inv_den`, `lin` and the tilde frame's stacked `tau_coupling`
-    are tables the flow owns: built once, then refilled in place.  The flow
+    energy rise between refreshes in `energy_rise`, computes the next
+    step's modes, reads the iterate's eigen residual off them into
+    `residual` and hands (psi, modes) to that step in `handed`.
+    `_step_modes` computes |psi|^2, tau*beta@|psi|^2 and the Raman term in
+    work buffers built per flow, which `refresh` borrows as scratch;
+    `inv_den`, `lin` and the tilde frame's stacked `tau_coupling` are
+    tables the flow owns: built once, then refilled in place.  The flow
     runs only where the discretization has no gauge (`check_flow`), so the
     spectral block acts on psi itself.
     """
@@ -142,12 +142,12 @@ class _Flow:
         self.disc = disc
         self.tau_min = tau
         self.inv_den = self.lin = self.tau_coupling = None  # built on first use
+        self.handed = None  # (psi, modes) a refresh hands to the next step
         self.set_tau(tau)
         self.symbol_min = float(disc.symbol.min())
         self.energy = np.inf  # no refresh yet
         self.energy_rise = 0.0
-        self.residual = None  # of the last refreshed iterate, once stepped
-        self._modes = None  # F(psi) of the last refresh, until the next step
+        self.residual = None  # eigen residual of the last refreshed iterate
         shape = (2,) + disc.grid.shape
         self._rho = np.empty(shape)
         self._tau_beta_rho = np.empty(shape)
@@ -162,8 +162,15 @@ class _Flow:
         """Step and shift refresh after iteration `it` (0: set-up on the start).
 
         Runs at multiples of MU_UPDATE_EVERY and says whether it ran; floor
-        is `guard_floor(mu_hat)`.  The next `step` reads the eigen residual
-        of `psi` off its modes.
+        is `guard_floor(mu_hat)`.
+
+        Residual: with the tables set at psi (mu_hat = E + quartic), the
+        next step's modes c = F(u)*inv_den give F(H psi - mu_hat psi) =
+        (F(psi) - c)/(tau*inv_den), of norm sqrt(mode_weight*sum|.|^2) by
+        Parseval.  F(psi) is the energy's transform, so `residual` costs no
+        transform beyond c's, which goes on to the next `step`.  At the
+        converged benchmark states, where F(psi) - c cancels, it matches
+        `Discretization.eigen_residual` to 2e-9 to 3e-8 relative.
 
         Step: the linearized explicit term of a node (along psi the
         derivative of beta*rho*psi is 3*beta*rho) is at most
@@ -186,8 +193,8 @@ class _Flow:
         if it % MU_UPDATE_EVERY:
             return False
         d = self.disc
-        self._modes = d.grid.forward(psi)
-        e, quartic = d.energy_parts(psi, abs2(self._modes))
+        modes = d.grid.forward(psi)
+        e, quartic = d.energy_parts(psi, abs2(modes))
         self.energy_rise = max(self.energy_rise, e - self.energy)
         self.energy = e
         mu_hat = e + quartic
@@ -198,15 +205,23 @@ class _Flow:
         pot *= 3.0  # then 3*pot - 2*V, with the step's buffer for 2*V
         pot -= np.multiply(d.v, 2.0, out=self._rho)
         u_lin = float(pot.max()) + half_omega
+        del pot  # freed before c is computed
         tau = self.tau_min
         if u_lin > floor:
             tau = max(tau, 1.0 / (u_lin - floor))
         self.set_tau(tau)
         self.alpha = min(0.5 * u, 0.5 * (u + half_omega + floor) - 1.0 / tau)
         self.set_shifts(max(self.alpha, floor), mu_hat)
+        c = self._step_modes(psi)
+        modes -= c
+        modes /= self.inv_den  # then by tau, on the norm
+        self.residual = math.sqrt(d.grid.mode_weight
+                                  * float(np.vdot(modes, modes).real)) / tau
+        self.handed = (psi, c)
         return True
 
     def set_tau(self, tau: float):
+        self.handed = None  # computed with the old tables
         self.tau = tau
         self.tau_beta = tau * self.disc.beta
         if isinstance(self.disc.coupling, np.ndarray):  # tilde frame
@@ -216,6 +231,7 @@ class _Flow:
             self.tau_coupling = tau * self.disc.coupling
 
     def set_shifts(self, alpha: float, mu_hat: float):
+        self.handed = None  # computed with the old tables
         tau = self.tau
         # inv_den = 1/(1 + tau*(symbol + (alpha - mu_hat))) and
         # lin = 1 + tau*(alpha - V), in place after the first refresh
@@ -228,12 +244,8 @@ class _Flow:
         lin *= tau
         lin += 1.0
 
-    def step(self, psi: np.ndarray) -> np.ndarray:
-        """One backward-Euler step plus joint renormalization (new array).
-
-        After a refresh it also sets `residual` (see `_read_residual`).
-        """
-        g = self.disc.grid
+    def _step_modes(self, psi: np.ndarray) -> np.ndarray:
+        """c = F(u)*inv_den, the unnormalized modes of the step from psi."""
         rho, tbr = self._rho, self._tau_beta_rho
         # rho = |psi|^2, then tbr = lin - tau*beta@rho, all in the buffers
         np.square(psi.real, out=rho)
@@ -241,11 +253,20 @@ class _Flow:
         np.dot(self.tau_beta, rho.reshape(2, -1), out=tbr.reshape(2, -1))
         u = np.subtract(self.lin, tbr, out=tbr) * psi
         u -= np.multiply(self.tau_coupling, psi[::-1], out=self._raman)
-        c = g.forward(u, overwrite=True)
-        del u  # the dense sine path's input, freed before the inverse
+        c = self.disc.grid.forward(u, overwrite=True)
         c *= self.inv_den
-        if self._modes is not None:
-            self.residual = self._read_residual(c)
+        return c
+
+    def step(self, psi: np.ndarray) -> np.ndarray:
+        """One backward-Euler step plus joint renormalization (new array).
+
+        Given the very array that was last refreshed, it takes the modes
+        `refresh` handed over (`set_tau` and `set_shifts` drop them);
+        otherwise, and on any later step, it computes its own.
+        """
+        handed, self.handed = self.handed, None
+        c = handed[1] if handed and handed[0] is psi else self._step_modes(psi)
+        g = self.disc.grid
         out = g.inverse(c, overwrite=True)
         norm_sq = g.cell_volume * float(np.vdot(out, out).real)
         if not math.isfinite(norm_sq):
@@ -259,23 +280,6 @@ class _Flow:
         # an exact -0 entry) without the complex division
         out *= 1.0 / math.sqrt(norm_sq)
         return out
-
-    def _read_residual(self, c: np.ndarray) -> float:
-        """Eigen residual of the refreshed psi, from the step's modes `c`.
-
-        With the shifts set at psi (mu_hat = E + quartic), the unnormalized
-        modes c = F(u)*inv_den give the modes of the eigen residual:
-        F(H psi - mu_hat psi) = (F(psi) - c)/(tau*inv_den), whose norm is
-        sqrt(mode_weight*sum|.|^2) by Parseval.  It overwrites F(psi) and
-        drops it before the step's inverse transform.  F(psi) - c cancels as
-        the flow converges: at the converged benchmark states the value
-        matches `Discretization.eigen_residual` to 2e-9 to 3e-8 relative.
-        """
-        r, self._modes = self._modes, None
-        r -= c
-        r /= self.inv_den  # then by tau, on the norm
-        return math.sqrt(self.disc.grid.mode_weight
-                         * float(np.vdot(r, r).real)) / self.tau
 
 
 def gfdn_step(phi: Spinor, params: Params, options: GfdnOptions) -> Spinor:
@@ -308,37 +312,29 @@ def _solve(params: Params, grid: Grid, options: GfdnOptions,
     flow = _Flow(disc, options.tau)
     psi = build_initial_state(options.init, grid, params).psi
     flow.refresh(psi)
-    tested = False  # psi was refreshed after an iteration; not the start
     residual = None  # eigen residual of psi, once certified
     gap = np.inf  # to merge_into, at the last refresh that tested it
     iterations = 0
     warnings = list(disc.warnings)
     try:
         for it in range(1, options.max_iters + 1):
-            new = flow.step(psi)
-            if tested:  # decide on psi with the residual the step read off
-                if flow.residual < options.tol:
-                    # free the look-ahead iterate for the exact pass; the
-                    # step is a function of psi and the tables, so a failed
-                    # confirmation takes it again, with the same bits
-                    new = None
-                    exact = disc.eigen_residual(psi)
-                    if exact < options.tol:
-                        residual = exact
-                        break
-                    new = flow.step(psi)
-                if merge_into is not None:
-                    gap = _gap(grid, merge_into, psi)
-                    if gap < MERGE_DISTANCE:
-                        break
-            psi, iterations = new, it
-            tested = flow.refresh(psi, it)
+            psi, iterations = flow.step(psi), it
+            if not flow.refresh(psi, it):
+                continue
+            if flow.residual < options.tol:
+                flow.handed = None  # freed for the exact pass
+                exact = disc.eigen_residual(psi)
+                if exact < options.tol:
+                    residual = exact
+                    break
+            if merge_into is not None:
+                gap = _gap(grid, merge_into, psi)
+                if gap < MERGE_DISTANCE:
+                    break
     except FloatingPointError as exc:  # psi predates the failed step
         warnings.append(str(exc))
     energy_rise = flow.energy_rise
-    # the flow's tables, an unread F(psi) and the look-ahead iterate are not
-    # needed any more; freed, they add nothing to the exact pass's peak
-    flow = new = None
+    flow = None  # freed, its tables add nothing to the exact pass's peak
     if residual is None:  # merged, out of iterations or failed
         residual = disc.eigen_residual(psi)
     converged = residual < options.tol

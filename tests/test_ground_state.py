@@ -370,11 +370,11 @@ def test_every_result_reports_the_residual_of_its_state(monkeypatch):
 
 
 def test_a_converged_solve_transforms_only_in_steps_and_refreshes(monkeypatch):
-    # N iterations and the look-ahead step that tests the last refresh take
-    # N + 1 forward/inverse pairs, every refresh (set-up included) one
-    # forward for the energy, whose modes the next step reuses for the
-    # eigen residual; certifying takes one exact residual pair and the final
-    # energy one forward
+    # N iterations take N inverses, and N + 1 forwards with the modes the
+    # last refresh computes for a step never taken; every refresh (set-up
+    # included) takes one more forward for the energy, whose modes it reuses
+    # for the eigen residual; certifying takes one exact residual pair and
+    # the final energy one forward
     calls = {"forward": 0, "inverse": 0}
 
     def counted(name):
@@ -392,7 +392,7 @@ def test_a_converged_solve_transforms_only_in_steps_and_refreshes(monkeypatch):
     assert res.converged and n == 680
     refreshes = n // ground_state.MU_UPDATE_EVERY + 1
     assert calls == {"forward": (n + 1) + refreshes + 1 + 1,
-                     "inverse": (n + 1) + 1}
+                     "inverse": n + 1}
 
 
 def test_multi_start_needs_starts():
@@ -926,13 +926,12 @@ def test_flow_step_returns_a_fresh_array(g, p):
                           gfdn_step(start, p, opts).psi)
 
 
-# ---- the eigen residual read off the next step --------------------------------
+# ---- the eigen residual read off the next step's modes ------------------------
 
-def look_ahead_residual(g, p, psi):
-    """The residual of `psi` that the step after a refresh at `psi` reads."""
+def refresh_residual(g, p, psi):
+    """The residual of `psi` that a refresh at `psi` reads."""
     flow = ground_state._Flow(discretization(g, p), GfdnOptions().tau)
     assert flow.refresh(psi)
-    flow.step(psi)
     return flow.residual
 
 
@@ -941,7 +940,7 @@ def look_ahead_residual(g, p, psi):
     (COM_2D_GRID, COM_2D_PARAMS, "gaussian_opposite"),
     (BOX_GS_GRID, BOX_GS_PARAMS, "gaussian_opposite"),
 ], ids=["sweep_1d", "com_2d", "box_gs_k0_10"])
-def test_the_look_ahead_residual_is_the_eigen_residual(g, p, init):
+def test_the_refresh_residual_is_the_eigen_residual(g, p, init):
     # (F(psi) - c)/(tau*inv_den) are the modes of H psi - mu psi.  F(psi) - c
     # cancels as the flow converges and 1/tau amplifies the round-off of the
     # two transforms: at these converged states the two values differ by
@@ -949,17 +948,18 @@ def test_the_look_ahead_residual_is_the_eigen_residual(g, p, init):
     # against a long-double reference the exact value is the closer one
     start = build_initial_state(init, g, p)
     exact = eigen_residual(start, p)
-    assert abs(look_ahead_residual(g, p, start.psi) - exact) <= 1e-12 * exact
+    assert abs(refresh_residual(g, p, start.psi) - exact) <= 1e-12 * exact
     solve = besp_solve if p.frame == "tilde" else gfdn_solve
     res = solve(p, g, GfdnOptions(init=init))
     assert res.converged
-    cheap = look_ahead_residual(g, p, res.phi.psi)
+    cheap = refresh_residual(g, p, res.phi.psi)
     assert abs(cheap - res.residual) <= 5e-8 * res.residual
 
 
-def test_a_failed_look_ahead_step_returns_the_refreshed_iterate(monkeypatch):
-    # the step that would test the refresh at iteration 20 fails: the solve
-    # returns that iterate, uncounted step aside, with its exact residual
+def test_a_failed_step_after_a_refresh_returns_the_refreshed_iterate(
+        monkeypatch):
+    # the step after the refresh at iteration 20 fails: the solve returns
+    # that iterate, with its exact residual
     g, p = grid_1d(), SWEEP_1D.with_(k0=0.05)
     at_20 = gfdn_solve(p, g, GfdnOptions(max_iters=20))
     step, calls = ground_state._Flow.step, []
@@ -980,9 +980,9 @@ def test_a_failed_look_ahead_step_returns_the_refreshed_iterate(monkeypatch):
 
 
 def test_a_failed_confirmation_continues_on_the_plain_iterates(monkeypatch):
-    # the look-ahead value passes and the exact one fails: the solve drops
-    # the look-ahead iterate for the exact pass, takes that step again and
-    # certifies one refresh later, on the iterates of the plain loop
+    # the refresh's value passes and the exact one fails: the solve drops
+    # the handed modes for the exact pass, the next step computes them again
+    # and it certifies one refresh later, on the iterates of the plain loop
     g, p = grid_1d(), SWEEP_1D.with_(k0=0.05)
     first = gfdn_solve(p, g, GfdnOptions())
     exact, calls = Discretization.eigen_residual, []
@@ -997,6 +997,52 @@ def test_a_failed_confirmation_continues_on_the_plain_iterates(monkeypatch):
     assert res.iterations == first.iterations + ground_state.MU_UPDATE_EVERY
     assert np.array_equal(res.phi.psi,
                           reference_flow(p, g, "gaussian_pair", res.iterations))
+
+
+def test_the_last_refreshed_iterate_of_a_run_gets_the_merge_test():
+    # uncapped, the opposite start merges at its refresh at iteration 3,660;
+    # a run capped there still tests that last refreshed iterate
+    g, p = grid_1d(), SWEEP_1D.with_(k0=0.05)
+    pair = gfdn_solve(p, g, GfdnOptions())
+    assert pair.converged and pair.iterations == 680
+    res = gfdn_solve(p, g, GfdnOptions(init="gaussian_opposite",
+                                       max_iters=3660),
+                     merge_into=pair.phi.psi)
+    assert res.iterations == 3660 and not res.converged
+    assert any(w.startswith("stopped after 3660 iterations at phase-aligned")
+               for w in res.warnings)
+    assert not any("did not reach tol" in w for w in res.warnings)
+
+
+def test_a_step_takes_the_handed_modes_only_for_their_array_and_tables():
+    # a refresh at `a` computes the modes of the step from `a`; a step of
+    # another array, or after a new step size or new shifts, computes its own
+    g, p = grid_1d(), SWEEP_1D.with_(k0=0.05)
+    disc = discretization(g, p)
+    a, b = (build_initial_state(init, g, p).psi
+            for init in ("gaussian_pair", "gaussian_opposite"))
+
+    def refreshed():
+        flow = ground_state._Flow(disc, GfdnOptions().tau)
+        assert flow.refresh(a)
+        return flow
+
+    def plain(flow):
+        """A flow with the tables of `flow` and nothing handed over."""
+        out = ground_state._Flow(disc, flow.tau)
+        out.inv_den, out.lin = flow.inv_den.copy(), flow.lin.copy()
+        return out
+
+    flow = refreshed()
+    assert np.array_equal(flow.step(b), plain(flow).step(b))
+    flow = refreshed()
+    flow.set_tau(2.0 * flow.tau)
+    assert np.array_equal(flow.step(a), plain(flow).step(a))
+    flow = refreshed()
+    flow.set_shifts(3.0, 0.5)
+    assert np.array_equal(flow.step(a), plain(flow).step(a))
+    flow = refreshed()
+    assert np.array_equal(flow.step(a), plain(flow).step(a))
 
 
 @pytest.mark.parametrize("g, p", [
