@@ -11,11 +11,13 @@ refresh derives the step and both shifts from the running iterate.
 A solve converges when the discrete L2 eigen residual ||H(psi)psi - mu psi||
 (mu = E + quartic) is below `tol` (the residual stop of Antoine, Levitt &
 Tang 2017), the flow's only stop test.  It tests each iterate as soon as
-it is refreshed: the refresh computes the next step's modes and reads the
+it is refreshed: the refresh returns the next step's modes and reads the
 iterate's residual off them (see `_Flow.refresh`), so the test costs no
 transform beyond the step's own.  A value below `tol` is confirmed once
 with `Discretization.eigen_residual`; a solve that ends otherwise (merged,
 out of iterations or failed) computes that exact residual once at the end.
+The returned energy and mu are the last refresh's when it ran at the
+returned iterate, else computed once at the end.
 `GroundStateResult.residual` is the eigen residual of the returned state,
 converged or not; `converged` is `residual < tol`.
 
@@ -125,14 +127,15 @@ class _Flow:
     shift mu_hat = E + quartic from the iterate; `guard_floor`, read off the
     lowest mode of `Discretization.symbol`, keeps every backward-Euler
     denominator >= 1.  Constant shifts cancel at the fixed point, so none of
-    this changes the converged state.  Each refresh records the largest
-    energy rise between refreshes in `energy_rise`, computes the next
-    step's modes, reads the iterate's eigen residual off them into
-    `residual` and hands (psi, modes) to that step in `handed`.
+    this changes the converged state.  Each refresh keeps the iterate's
+    energy and mu_hat in `energy` and `mu`, records the largest energy rise
+    between refreshes in `energy_rise`, reads the iterate's eigen residual
+    into `residual` and returns the next step's modes, which the caller
+    passes on as `step(psi, modes)`; the flow holds no iterate.
     `_step_modes` computes |psi|^2, tau*beta@|psi|^2 and the Raman term in
     work buffers built per flow, which `refresh` borrows as scratch;
-    `inv_den`, `lin` and the tilde frame's stacked `tau_coupling` are
-    tables the flow owns: built once, then refilled in place.  The flow
+    `inv_den`, `lin` and `tau_coupling` (shaped as `Discretization.coupling`)
+    are tables the flow owns: built once, then refilled in place.  The flow
     runs only where the discretization has no gauge (`check_flow`), so the
     spectral block acts on psi itself.
     """
@@ -141,13 +144,13 @@ class _Flow:
         disc.check_flow()
         self.disc = disc
         self.tau_min = tau
-        self.inv_den = self.lin = self.tau_coupling = None  # built on first use
-        self.handed = None  # (psi, modes) a refresh hands to the next step
+        self.inv_den = self.lin = None  # built on the first refresh
+        self.tau_coupling = np.empty_like(disc.coupling)
         self.set_tau(tau)
         self.symbol_min = float(disc.symbol.min())
         self.energy = np.inf  # no refresh yet
         self.energy_rise = 0.0
-        self.residual = None  # eigen residual of the last refreshed iterate
+        self.mu = self.residual = None  # of the last refreshed iterate
         shape = (2,) + disc.grid.shape
         self._rho = np.empty(shape)
         self._tau_beta_rho = np.empty(shape)
@@ -158,17 +161,17 @@ class _Flow:
         1 + tau*(alpha - mu_hat + symbol) >= 1; the lowest mode's is 1."""
         return mu_hat - self.symbol_min
 
-    def refresh(self, psi: np.ndarray, it: int = 0) -> bool:
+    def refresh(self, psi: np.ndarray, it: int = 0) -> np.ndarray | None:
         """Step and shift refresh after iteration `it` (0: set-up on the start).
 
-        Runs at multiples of MU_UPDATE_EVERY and says whether it ran; floor
-        is `guard_floor(mu_hat)`.
+        Runs at multiples of MU_UPDATE_EVERY and returns the modes of the
+        step from psi, None between refreshes; floor is `guard_floor(mu_hat)`.
 
         Residual: with the tables set at psi (mu_hat = E + quartic), the
         next step's modes c = F(u)*inv_den give F(H psi - mu_hat psi) =
         (F(psi) - c)/(tau*inv_den), of norm sqrt(mode_weight*sum|.|^2) by
         Parseval.  F(psi) is the energy's transform, so `residual` costs no
-        transform beyond c's, which goes on to the next `step`.  At the
+        transform beyond c's, which is returned for the next `step`.  At the
         converged benchmark states, where F(psi) - c cancels, it matches
         `Discretization.eigen_residual` to 2e-9 to 3e-8 relative.
 
@@ -191,13 +194,13 @@ class _Flow:
         (U <= U_lin), so a raised step always runs at the floor.
         """
         if it % MU_UPDATE_EVERY:
-            return False
+            return None
         d = self.disc
         modes = d.grid.forward(psi)
         e, quartic = d.energy_parts(psi, abs2(modes))
         self.energy_rise = max(self.energy_rise, e - self.energy)
         self.energy = e
-        mu_hat = e + quartic
+        self.mu = mu_hat = e + quartic
         floor = self.guard_floor(mu_hat)
         pot = d.potential(psi)
         half_omega = 0.5 * abs(d.params.omega)
@@ -217,21 +220,14 @@ class _Flow:
         modes /= self.inv_den  # then by tau, on the norm
         self.residual = math.sqrt(d.grid.mode_weight
                                   * float(np.vdot(modes, modes).real)) / tau
-        self.handed = (psi, c)
-        return True
+        return c
 
     def set_tau(self, tau: float):
-        self.handed = None  # computed with the old tables
         self.tau = tau
         self.tau_beta = tau * self.disc.beta
-        if isinstance(self.disc.coupling, np.ndarray):  # tilde frame
-            self.tau_coupling = np.multiply(tau, self.disc.coupling,
-                                            out=self.tau_coupling)
-        else:
-            self.tau_coupling = tau * self.disc.coupling
+        np.multiply(tau, self.disc.coupling, out=self.tau_coupling)
 
     def set_shifts(self, alpha: float, mu_hat: float):
-        self.handed = None  # computed with the old tables
         tau = self.tau
         # inv_den = 1/(1 + tau*(symbol + (alpha - mu_hat))) and
         # lin = 1 + tau*(alpha - V), in place after the first refresh
@@ -257,15 +253,15 @@ class _Flow:
         c *= self.inv_den
         return c
 
-    def step(self, psi: np.ndarray) -> np.ndarray:
+    def step(self, psi: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
         """One backward-Euler step plus joint renormalization (new array).
 
-        Given the very array that was last refreshed, it takes the modes
-        `refresh` handed over (`set_tau` and `set_shifts` drop them);
-        otherwise, and on any later step, it computes its own.
+        `c` is the step's modes when the caller has them, as `refresh(psi)`
+        returns them with the tables it sets; the step overwrites it.
+        Without `c` it computes them with `_step_modes(psi)`.
         """
-        handed, self.handed = self.handed, None
-        c = handed[1] if handed and handed[0] is psi else self._step_modes(psi)
+        if c is None:
+            c = self._step_modes(psi)
         g = self.disc.grid
         out = g.inverse(c, overwrite=True)
         norm_sq = g.cell_volume * float(np.vdot(out, out).real)
@@ -290,8 +286,7 @@ def gfdn_step(phi: Spinor, params: Params, options: GfdnOptions) -> Spinor:
     chemical-potential shifts are computed from `phi` itself.
     """
     flow = _Flow(discretization(phi.grid, params), options.tau)
-    flow.refresh(phi.psi)
-    return Spinor.from_stacked(phi.grid, flow.step(phi.psi))
+    return Spinor.from_stacked(phi.grid, flow.step(phi.psi, flow.refresh(phi.psi)))
 
 
 def _gap(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
@@ -311,19 +306,20 @@ def _solve(params: Params, grid: Grid, options: GfdnOptions,
     disc = discretization(grid, params)
     flow = _Flow(disc, options.tau)
     psi = build_initial_state(options.init, grid, params).psi
-    flow.refresh(psi)
+    c = flow.refresh(psi)  # the next step's modes, None off the schedule
     residual = None  # eigen residual of psi, once certified
     gap = np.inf  # to merge_into, at the last refresh that tested it
     iterations = 0
     warnings = list(disc.warnings)
     try:
         for it in range(1, options.max_iters + 1):
-            psi, iterations = flow.step(psi), it
-            if not flow.refresh(psi, it):
+            psi, iterations = flow.step(psi, c), it
+            c = flow.refresh(psi, it)
+            if c is None:
                 continue
             if flow.residual < options.tol:
-                flow.handed = None  # freed for the exact pass
-                exact = disc.eigen_residual(psi)
+                c = None  # freed for the exact pass
+                exact = disc.eigen_residual(psi, flow.mu)
                 if exact < options.tol:
                     residual = exact
                     break
@@ -333,10 +329,13 @@ def _solve(params: Params, grid: Grid, options: GfdnOptions,
                     break
     except FloatingPointError as exc:  # psi predates the failed step
         warnings.append(str(exc))
-    energy_rise = flow.energy_rise
-    flow = None  # freed, its tables add nothing to the exact pass's peak
+    energy_rise, e, mu = flow.energy_rise, flow.energy, flow.mu
+    flow = c = None  # freed, they add nothing to the exact pass's peak
+    if iterations % MU_UPDATE_EVERY:  # psi ends between refreshes
+        e, quartic = disc.energy_parts(psi)
+        mu = e + quartic
     if residual is None:  # merged, out of iterations or failed
-        residual = disc.eigen_residual(psi)
+        residual = disc.eigen_residual(psi, mu)
     converged = residual < options.tol
 
     if gap < MERGE_DISTANCE:
@@ -363,9 +362,8 @@ def _solve(params: Params, grid: Grid, options: GfdnOptions,
                 "scalar profile has equal energy)"
             )
 
-    e, quartic = disc.energy_parts(psi)
     return GroundStateResult(
-        phi=Spinor.from_stacked(grid, psi), energy=e, mu=e + quartic, iterations=iterations,
+        phi=Spinor.from_stacked(grid, psi), energy=e, mu=mu, iterations=iterations,
         residual=residual, converged=converged, warnings=warnings,
     )
 

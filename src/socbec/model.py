@@ -183,9 +183,9 @@ class Discretization:
     Attributes (stacked ones have shape (2, *grid.shape)):
         v          stacked trap fields (V1, V2)
         phase      e^{2ik0x}, the tilde-frame Raman factor
-        coupling   R with H_raman psi = R * psi[::-1]: omega/2 in the lab
-                   frame, stacked omega/2 * (e^{-2ik0x}, e^{2ik0x}) in the
-                   tilde frame
+        coupling   R with H_raman psi = R * psi[::-1]: omega/2 as a 0-d array
+                   in the lab frame, stacked omega/2 * (e^{-2ik0x}, e^{2ik0x})
+                   in the tilde frame
         mu_x       the x wavenumber over the mode grid
         symbol     stacked diagonal symbol of the constant-coefficient block:
                    |mu|^2/2 -+ k0*mu_x (lab frame, Fourier x axis) +- delta/2,
@@ -226,7 +226,7 @@ class Discretization:
             self.coupling = 0.5 * params.omega * np.stack(
                 (np.conj(self.phase), self.phase))
         else:
-            self.coupling = 0.5 * params.omega
+            self.coupling = np.array(0.5 * params.omega)
         self.mu_x = grid.mu(0) * np.ones(grid.shape)
         x_fourier = grid.axes[0].basis == FOURIER
         spin_orbit = params.frame == LAB and params.k0 != 0.0

@@ -528,6 +528,23 @@ def test_shipped_configs_validate(path, capsys):
     assert "ok" in capsys.readouterr().out
 
 
+def test_ground_state_1d_run_reproduces_its_golden_outputs(tmp_path):
+    # tests/golden/ground_state_1d holds the run's observables.csv and the
+    # [results] section of its manifest; a change that moves these bits
+    # re-pins both files and says which digits moved and why
+    root = Path(__file__).parent.parent
+    golden = root / "tests" / "golden" / "ground_state_1d"
+    out = tmp_path / "out"
+    assert main(["run", str(root / "configs" / "ground_state_1d.cfg"),
+                 "--out", str(out)]) == 0
+    assert ((out / "observables.csv").read_bytes()
+            == (golden / "observables.csv").read_bytes())
+    manifest = (out / "run_manifest.txt").read_text()
+    results = manifest[manifest.index("[results]\n"):]
+    results = results[:results.index("\n\n") + 1]
+    assert results == (golden / "results.txt").read_text()
+
+
 def test_python_dash_m_runs_the_cli_from_the_source_tree():
     root = Path(__file__).parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
